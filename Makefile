@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-baseline bench-baseline-check
+.PHONY: build test race loc bench-baseline bench-baseline-check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,16 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# Code size, the number CHANGES.md records for every change:
+# non-blank, non-comment lines of non-test Go files, per package and in
+# total.
+loc:
+	@total=0; for pkg in $$($(GO) list -f '{{.ImportPath}}:{{.Dir}}' ./...); do \
+		n=$$(find "$${pkg#*:}" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | \
+			grep -v '^\s*$$' | grep -v '^\s*//' | wc -l); \
+		total=$$((total + n)); printf '%6d  %s\n' "$$n" "$${pkg%%:*}"; \
+	done; printf '%6d  total\n' "$$total"
 
 # Regenerate the committed benchmark trajectory (BENCH_fig6.json):
 # the reduced fig6 sweep through the portfolio in coop, racing, and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,15 +53,6 @@ const forwardHeader = "X-Verdict-Forwarded"
 // stealInterval is how often an idle node goes looking for work.
 const stealInterval = 250 * time.Millisecond
 
-// shadowJob is a peer-owned acceptance held by a replica: enough to
-// re-journal it at compaction and to promote it if the owner dies.
-// Tenant rides along so a promoted job lands in the right fair queue.
-type shadowJob struct {
-	Request json.RawMessage
-	Owner   string
-	Tenant  string
-}
-
 // clusterState bundles the routing brain with the server-side pieces:
 // HTTP clients, the shadow table, and the rebalance trigger.
 type clusterState struct {
@@ -71,8 +63,13 @@ type clusterState struct {
 	push  *http.Client
 	proxy *http.Client
 
+	// mu guards shadows: peer-owned acceptances held as Shadow-phase
+	// jobs — just the journaled request, owner and tenant, enough to
+	// re-journal one at compaction and to promote it if the owner
+	// dies. They are never mutated; promotion builds a fresh job from
+	// the bytes.
 	mu      sync.Mutex
-	shadows map[string]shadowJob // id → peer-owned acceptance
+	shadows map[string]*job
 
 	rebalance chan struct{} // coalesced rebalance kicks
 	rng       *rand.Rand
@@ -142,7 +139,7 @@ func (s *Server) initCluster(cfg Config) {
 		c:         c,
 		push:      &http.Client{Timeout: 2 * time.Second},
 		proxy:     &http.Client{},
-		shadows:   make(map[string]shadowJob),
+		shadows:   make(map[string]*job),
 		rebalance: make(chan struct{}, 1),
 		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
@@ -174,63 +171,43 @@ func (s *Server) startCluster() {
 // timeout: unreachable peers (a whole-fleet cold start) fail fast and
 // leave the local copy standing.
 func (s *Server) reconcileSettled() {
-	keys := s.settledKeys()
-	if len(keys) == 0 {
-		return
+	if _, adopted := s.repushSettled(true); adopted > 0 {
+		s.cfg.Log.Printf("cluster: rejoin reconciliation adopted %d verdict(s) the fleet settled while this node was down", adopted)
 	}
+}
+
+// repushSettled pushes every locally pinned verdict to its current
+// replica set, eight at a time; idempotent on the receivers. adopt
+// says what a 409 conflict means: a (re)joining node defers to the
+// replica's snapshot, while a continuously-live node keeps the bytes
+// its clients observed.
+func (s *Server) repushSettled(adopt bool) (pushed int, adopted int64) {
+	cs := s.cluster
 	sem := make(chan struct{}, 8)
 	var wg sync.WaitGroup
-	var adopted atomic.Int64
-	for _, id := range keys {
+	var nAdopted atomic.Int64
+	for _, id := range s.settledKeys() {
+		if !slices.ContainsFunc(cs.c.Replicas(id), func(n string) bool { return !cs.c.IsSelf(n) }) {
+			continue
+		}
 		snap, ok := s.settledSnapshot(id)
 		if !ok {
 			continue
 		}
+		pushed++
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(id string, snap storedJob) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if remote, conflict := s.replicateSettled(id, snap); conflict {
-				s.overwriteSettled(id, remote)
-				adopted.Add(1)
+			if remote, conflict := s.replicateSettled(id, snap); conflict && adopt {
+				s.adoptSettled(id, remote, true)
+				nAdopted.Add(1)
 			}
 		}(id, snap)
 	}
 	wg.Wait()
-	if n := adopted.Load(); n > 0 {
-		s.cfg.Log.Printf("cluster: rejoin reconciliation adopted %d verdict(s) the fleet settled while this node was down", n)
-	}
-}
-
-// overwriteSettled replaces a local settlement with the fleet's
-// authoritative one — the single deliberate exception to "pinned
-// bytes are never overwritten", taken only when this node's copy
-// predates a fleet re-derivation it slept through.
-func (s *Server) overwriteSettled(id string, snap storedJob) {
-	dec, ok := decodeStored(id, mustMarshal(snap))
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	if j, infl := s.inflight[id]; infl {
-		if j.sealed {
-			s.mu.Unlock()
-			return
-		}
-		j.sealed = true
-		s.mu.Unlock()
-		s.persistSettled(j, snap)
-		s.publish(j, snap, dec.result)
-		return
-	}
-	s.mu.Unlock()
-	s.persistSettled(&job{id: id}, snap)
-	s.mu.Lock()
-	if _, infl := s.inflight[id]; !infl {
-		s.finished.Add(id, dec)
-	}
-	s.mu.Unlock()
+	return pushed, nAdopted.Load()
 }
 
 func (s *Server) stopCluster() {
@@ -261,7 +238,7 @@ func (s *Server) addShadow(id string, req json.RawMessage, owner, tenant string)
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.shadows[id] = shadowJob{Request: req, Owner: owner, Tenant: tenant}
+	cs.shadows[id] = &job{id: id, reqJSON: req, owner: owner, tenant: tenant}
 }
 
 func (s *Server) removeShadow(id string) {
@@ -285,7 +262,7 @@ func (s *Server) shadowRecords() []journal.Record {
 	defer cs.mu.Unlock()
 	recs := make([]journal.Record, 0, len(cs.shadows))
 	for id, sh := range cs.shadows {
-		recs = append(recs, journal.Record{Type: journal.TypeAccepted, ID: id, Request: sh.Request, Owner: sh.Owner, Tenant: sh.Tenant})
+		recs = append(recs, journal.Record{Type: journal.TypeAccepted, ID: id, Request: sh.reqJSON, Owner: sh.owner, Tenant: sh.tenant})
 	}
 	return recs
 }
@@ -415,17 +392,17 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // node can die without losing it. Unreachable replicas are tolerated
 // (they are probably dead, which is exactly when blocking acceptance
 // would turn a node failure into an outage).
-func (s *Server) replicateAccept(j *job) {
+func (s *Server) replicateAccept(j *job, reqJSON json.RawMessage) {
 	cs := s.cluster
 	if cs == nil {
 		return
 	}
-	body, err := json.Marshal(clusterAcceptMsg{ID: j.id, Owner: cs.c.Self(), Request: j.reqJSON,
+	body, err := json.Marshal(clusterAcceptMsg{ID: j.id, Owner: cs.c.Self(), Request: reqJSON,
 		Tenant: j.tenant, DeadlineMS: remainingMS(j.deadline)})
 	if err != nil {
 		return
 	}
-	s.pushToReplicas(j.id, "/v1/cluster/accept", body, j.deadline)
+	s.pushToReplicas(j.id, "/v1/cluster/accept", body, j.deadline, nil)
 }
 
 // replicateSettled pushes a settled snapshot to the rest of the
@@ -444,62 +421,35 @@ func (s *Server) replicateAccept(j *job) {
 // settlement (runJob) and a node rejoining the fleet (startup
 // reconcile) must adopt the fleet's bytes; a continuously-live node
 // re-pushing during rebalance keeps its own.
-func (s *Server) replicateSettled(id string, snap storedJob) (storedJob, bool) {
-	cs := s.cluster
-	if cs == nil {
+func (s *Server) replicateSettled(id string, snap storedJob) (conflict storedJob, found bool) {
+	if s.cluster == nil {
 		return storedJob{}, false
 	}
 	body, err := json.Marshal(clusterReplicateMsg{ID: id, Status: snap.Status, Error: snap.Error, Result: snap.Result})
 	if err != nil {
 		return storedJob{}, false
 	}
-	var (
-		confMu   sync.Mutex
-		conflict storedJob
-		found    bool
-	)
-	var wg sync.WaitGroup
-	for _, node := range cs.c.Replicas(id) {
-		if cs.c.IsSelf(node) {
-			continue
+	var mu sync.Mutex
+	s.pushToReplicas(id, "/v1/cluster/replicate", body, time.Time{}, func(raw []byte) {
+		var msg clusterReplicateMsg
+		if json.Unmarshal(raw, &msg) != nil || msg.ID != id {
+			return
 		}
-		wg.Add(1)
-		go func(node string) {
-			defer wg.Done()
-			var (
-				raw []byte
-				err error
-			)
-			for attempt := 0; attempt < 2; attempt++ {
-				if raw, err = cs.postSettled(node+"/v1/cluster/replicate", body); err == nil {
-					s.mReplications.Inc("ok")
-					if raw != nil {
-						var msg clusterReplicateMsg
-						if json.Unmarshal(raw, &msg) == nil && msg.ID == id {
-							confMu.Lock()
-							if !found {
-								conflict = storedJob{Status: msg.Status, Error: msg.Error, Result: msg.Result}
-								found = true
-							}
-							confMu.Unlock()
-						}
-					}
-					return
-				}
-			}
-			s.mReplications.Inc("error")
-			s.cfg.Log.Printf("cluster: replicating %s to %s failed: %v", id, node, err)
-		}(node)
-	}
-	wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		if !found {
+			conflict, found = storedJob{Status: msg.Status, Error: msg.Error, Result: msg.Result}, true
+		}
+	})
 	return conflict, found
 }
 
 // pushToReplicas POSTs body to every non-self member of id's replica
 // set, in parallel, two attempts each. A non-zero deadline stops the
 // retry: past the client's budget nobody is waiting for the 202, so
-// burning another RPC on it only deepens the overload.
-func (s *Server) pushToReplicas(id, path string, body []byte, deadline time.Time) {
+// burning another RPC on it only deepens the overload. onConflict,
+// when set, receives the body of each 409 answer.
+func (s *Server) pushToReplicas(id, path string, body []byte, deadline time.Time, onConflict func([]byte)) {
 	cs := s.cluster
 	var wg sync.WaitGroup
 	for _, node := range cs.c.Replicas(id) {
@@ -514,8 +464,12 @@ func (s *Server) pushToReplicas(id, path string, body []byte, deadline time.Time
 				if attempt > 0 && !deadline.IsZero() && time.Now().After(deadline) {
 					break
 				}
-				if err = cs.post(node+path, body); err == nil {
+				var conflict []byte
+				if conflict, err = cs.post(node+path, body); err == nil {
 					s.mReplications.Inc("ok")
+					if conflict != nil && onConflict != nil {
+						onConflict(conflict)
+					}
 					return
 				}
 			}
@@ -526,34 +480,16 @@ func (s *Server) pushToReplicas(id, path string, body []byte, deadline time.Time
 	wg.Wait()
 }
 
-func (cs *clusterState) post(url string, body []byte) error {
-	resp, err := cs.push.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// postSettled is post for the replicate endpoint: a 409 is not an
-// error but the receiver's own pinned snapshot, returned for the
-// caller to weigh.
-func (cs *clusterState) postSettled(url string, body []byte) ([]byte, error) {
+// post delivers one internal message. A 409 is not an error but the
+// receiver's own pinned snapshot, returned for the caller to weigh.
+func (cs *clusterState) post(url string, body []byte) ([]byte, error) {
 	resp, err := cs.push.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusConflict {
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-		if err != nil {
-			return nil, err
-		}
-		return raw, nil
+		return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	}
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode >= 300 {
@@ -596,58 +532,12 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusConflict, clusterReplicateMsg{ID: msg.ID, Status: local.Status, Error: local.Error, Result: local.Result})
 		return
 	}
-	s.adoptSettled(msg.ID, incoming)
+	s.adoptSettled(msg.ID, incoming, false)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func snapshotsEqual(a, b storedJob) bool {
 	return a.Status == b.Status && a.Error == b.Error && bytes.Equal(a.Result, b.Result)
-}
-
-// adoptSettled installs a peer-computed settlement locally. Three
-// cases: the id is in-flight here (a stolen job coming home, or a
-// race with local execution) — seal and publish it; the id is already
-// settled — keep the pinned bytes, drop the push; the id is new —
-// persist and cache it. First settlement wins everywhere: pinned
-// bytes are never overwritten.
-func (s *Server) adoptSettled(id string, snap storedJob) {
-	s.removeShadow(id)
-	// Round-trip through the store decoder so a garbage push can
-	// neither settle nor overwrite anything.
-	dec, ok := decodeStored(id, mustMarshal(snap))
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	if j, ok := s.inflight[id]; ok {
-		if j.sealed {
-			s.mu.Unlock()
-			return
-		}
-		j.sealed = true
-		s.mu.Unlock()
-		s.persistSettled(j, snap)
-		s.publish(j, snap, dec.result)
-		return
-	}
-	if _, ok := s.finished.Get(id); ok {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	if d := s.durable; d != nil {
-		if _, ok, _ := d.store.Get(id); ok {
-			return
-		}
-	}
-	s.persistSettled(&job{id: id}, snap)
-	s.mu.Lock()
-	if _, dup := s.finished.Get(id); !dup {
-		if _, infl := s.inflight[id]; !infl {
-			s.finished.Add(id, dec)
-		}
-	}
-	s.mu.Unlock()
 }
 
 // handleClusterSteal hands one queued job to an idle peer. The job
@@ -664,8 +554,8 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 	// capacity goes to the backlog, while latency-sensitive work stays
 	// next in line for the local workers.
 	j := s.sched.Steal()
-	if j == nil || j.sealed || len(j.reqJSON) == 0 {
-		// Nothing stealable; a drained-but-sealed job goes back to no
+	if j == nil || j.transition(evSteal) != nil {
+		// Nothing stealable; a queued-but-sealed job goes back to no
 		// one (it is already settled).
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
@@ -676,25 +566,15 @@ func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	// The thief gets 2x the per-check ceiling to come home before the
-	// job is re-enqueued locally.
-	time.AfterFunc(2*s.cfg.DefaultTimeout+5*time.Second, func() { s.requeueStolen(j) })
+	// job goes back in its fair queue here (unless draining: the journal
+	// re-enqueues it next boot).
+	time.AfterFunc(2*s.cfg.DefaultTimeout+5*time.Second, func() {
+		if s.enqueue(j, evRequeue) == nil {
+			s.cfg.Log.Printf("cluster: stolen job %s never came home; re-enqueued locally", j.id)
+		}
+	})
 	s.mSteals.Inc("victim")
 	writeJSON(w, http.StatusOK, msg)
-}
-
-// requeueStolen puts a stolen-but-never-settled job back in its fair
-// queue. Force, not Push: the job is already promised to a client, so
-// admission caps do not apply. Gives up on drain (the journal
-// re-enqueues it next boot).
-func (s *Server) requeueStolen(j *job) {
-	s.mu.Lock()
-	if j.sealed || s.draining {
-		s.mu.Unlock()
-		return
-	}
-	s.sched.Force(j, 0)
-	s.mu.Unlock()
-	s.cfg.Log.Printf("cluster: stolen job %s never came home; re-enqueued locally", j.id)
 }
 
 // --- background loops ---
@@ -758,24 +638,14 @@ func (s *Server) stealOnce() {
 	if msg.DeadlineMS > 0 {
 		deadline = time.Now().Add(time.Duration(msg.DeadlineMS) * time.Millisecond)
 	}
-	var req CheckRequest
-	snapErr := json.Unmarshal(msg.Request, &req)
-	var cr *compiled
-	if snapErr == nil {
-		cr, snapErr = s.compile(req)
-	}
+	cr, err := s.compileJournaled(msg.Request)
 	var snap storedJob
 	switch {
-	case snapErr != nil:
-		snap = storedJob{Status: StatusFailed, Error: fmt.Sprintf("stolen job does not compile: %v", snapErr)}
-	case !deadline.IsZero() && time.Now().After(deadline):
-		snap = storedJob{Status: StatusFailed, Error: "deadline expired before the check started; cancelled at worker pickup"}
+	case err != nil:
+		snap = storedJob{Status: StatusFailed, Error: fmt.Sprintf("stolen job does not compile: %v", err)}
+	case deadlinePassed(deadline, &cr.opts):
+		snap = storedJob{Status: StatusFailed, Error: deadlineExpiredMsg}
 	default:
-		if !deadline.IsZero() {
-			if rem := time.Until(deadline); rem > 0 && rem < cr.opts.Timeout {
-				cr.opts.Timeout = rem
-			}
-		}
 		// runCheck keeps stolen abstracted scenarios on the CEGAR
 		// pipeline — running the quotient straight through the portfolio
 		// would return an unrefined (possibly spurious) verdict.
@@ -787,7 +657,7 @@ func (s *Server) stealOnce() {
 		return
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		if cs.post(victim+"/v1/cluster/replicate", body) == nil {
+		if _, err := cs.post(victim+"/v1/cluster/replicate", body); err == nil {
 			s.mSteals.Inc("thief")
 			return
 		}
@@ -814,7 +684,7 @@ func (s *Server) rebalanceLoop() {
 func (s *Server) rebalanceOnce() {
 	cs := s.cluster
 	cs.mu.Lock()
-	pending := make(map[string]shadowJob, len(cs.shadows))
+	pending := make(map[string]*job, len(cs.shadows))
 	for id, sh := range cs.shadows {
 		pending[id] = sh
 	}
@@ -825,7 +695,7 @@ func (s *Server) rebalanceOnce() {
 		// Promote only jobs whose accepting owner is dead AND whose
 		// current ownership falls to this node — otherwise the owner
 		// (or a closer successor) is still responsible.
-		if cs.c.State(sh.Owner) != cluster.Dead || !cs.c.OwnsLocally(id) {
+		if cs.c.State(sh.owner) != cluster.Dead || !cs.c.OwnsLocally(id) {
 			continue
 		}
 		if s.isSettledLocally(id) {
@@ -838,28 +708,10 @@ func (s *Server) rebalanceOnce() {
 	}
 
 	// Re-replicate settled verdicts so the current successor set holds
-	// every verdict this node does. Idempotent on the receivers; a 409
-	// conflict is deliberately ignored here — a continuously-live node
-	// keeps the bytes its clients observed, only (re)joining nodes and
-	// pre-publication settlements defer (reconcileSettled, runJob).
-	repushed := 0
-	for _, id := range s.settledKeys() {
-		needed := false
-		for _, node := range cs.c.Replicas(id) {
-			if !cs.c.IsSelf(node) {
-				needed = true
-			}
-		}
-		if !needed {
-			continue
-		}
-		snap, ok := s.settledSnapshot(id)
-		if !ok {
-			continue
-		}
-		s.replicateSettled(id, snap)
-		repushed++
-	}
+	// every verdict this node does. A 409 conflict is deliberately
+	// ignored here — only (re)joining nodes and pre-publication
+	// settlements defer (reconcileSettled, settle).
+	repushed, _ := s.repushSettled(false)
 	if promoted > 0 || repushed > 0 {
 		s.cfg.Log.Printf("cluster: rebalance promoted %d shadowed job(s), re-replicated %d verdict(s)", promoted, repushed)
 	}
@@ -867,39 +719,19 @@ func (s *Server) rebalanceOnce() {
 
 // promoteShadow turns a dead peer's acceptance into a live local job
 // under its original id.
-func (s *Server) promoteShadow(id string, sh shadowJob) bool {
-	var req CheckRequest
-	err := json.Unmarshal(sh.Request, &req)
-	var cr *compiled
-	if err == nil {
-		cr, err = s.compile(req)
+func (s *Server) promoteShadow(id string, sh *job) bool {
+	self := s.cluster.c.Self()
+	j, err := s.admitJournaled(id, sh.reqJSON, self, sh.tenant)
+	if j == nil {
+		s.cfg.Log.Printf("cluster: shadowed job %s does not compile (%v); leaving it journaled", id, err)
 	}
 	if err != nil {
-		s.cfg.Log.Printf("cluster: shadowed job %s does not compile (%v); leaving it journaled", id, err)
 		return false
 	}
-	ten := s.tenants.lookup(sh.Tenant)
-	j := &job{id: id, key: cr.key, owner: s.cluster.c.Self(), tenant: ten.name, class: ten.class,
-		acceptedAt: time.Now(), sys: cr.sys, phi: cr.phi,
-		opts: cr.opts, pol: cr.pol, abs: cr.abs, reqJSON: sh.Request, status: StatusQueued, done: make(chan struct{})}
-	s.mu.Lock()
-	if _, dup := s.inflight[id]; dup {
-		s.mu.Unlock()
-		return false
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return false
-	}
-	s.inflight[id] = j
-	// Force: a promoted shadow is a promise the dead owner's client
-	// already holds — admission caps apply to new traffic only.
-	s.sched.Force(j, ten.weight)
-	s.mu.Unlock()
 	s.removeShadow(id)
 	// Re-journal under this node's ownership so a restart re-enqueues
 	// it directly instead of re-shadowing it.
-	s.persistAccepted(id, sh.Request, s.cluster.c.Self(), ten.name)
+	s.persistAccepted(id, sh.reqJSON, self, j.tenant)
 	return true
 }
 
@@ -920,19 +752,14 @@ func (s *Server) settledKeys() []string {
 // settledSnapshot rebuilds the wire snapshot of a settled id for
 // re-replication.
 func (s *Server) settledSnapshot(id string) (storedJob, bool) {
-	if d := s.durable; d != nil {
-		if raw, ok, _ := d.store.Get(id); ok {
-			var snap storedJob
-			if json.Unmarshal(raw, &snap) == nil {
-				return snap, true
-			}
-		}
+	if snap, ok := s.storedSnapshot(id); ok {
+		return snap, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v, ok := s.finished.Get(id); ok {
 		j := v.(*job)
-		snap := storedJob{Status: j.status, Error: j.errMsg}
+		snap := storedJob{Status: j.status(), Error: j.errMsg}
 		if j.result != nil {
 			if raw, err := json.Marshal(j.result); err == nil {
 				snap.Result = raw
@@ -944,14 +771,4 @@ func (s *Server) settledSnapshot(id string) (storedJob, bool) {
 		return snap, true
 	}
 	return storedJob{}, false
-}
-
-// mustMarshal encodes a storedJob; by construction it always
-// serializes (raw JSON + strings).
-func mustMarshal(snap storedJob) []byte {
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return []byte(`{"status":"failed","error":"snapshot does not serialize"}`)
-	}
-	return raw
 }

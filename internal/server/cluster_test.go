@@ -47,16 +47,18 @@ func (n *testNode) kill() {
 }
 
 // newTestCluster builds n nodes that all know each other. The
-// listeners exist before the servers (static membership needs the
-// URLs up front) and get the real handlers swapped in before any
-// traffic flows.
+// listeners are bound before the servers (static membership needs the
+// URLs up front) but start serving only once every node's handler is
+// installed: a probe that reaches a peer early waits in the listen
+// backlog instead of hitting a placeholder handler, so no node is
+// ever probed into Suspect by the harness itself.
 func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNode {
 	t.Helper()
 	hts := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := range hts {
-		hts[i] = httptest.NewServer(http.NotFoundHandler())
-		urls[i] = hts[i].URL
+		hts[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + hts[i].Listener.Addr().String()
 	}
 	nodes := make([]*testNode, n)
 	for i := range nodes {
@@ -94,6 +96,9 @@ func newTestCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*testNo
 			node.s.Drain(ctx)
 			node.s.Close()
 		})
+	}
+	for _, ht := range hts {
+		ht.Start()
 	}
 	return nodes
 }
@@ -566,15 +571,30 @@ func TestClusterMetricsExposed(t *testing.T) {
 		other = nodes[1]
 	}
 	submit(t, other.url, req)
-	waitDone(t, other.url, id)
+	// Wait on the owner: a status read on the submitter that lands
+	// before the settlement has replicated there is proxied to the
+	// owner — a second forward that would make the count below depend
+	// on timing.
+	waitDone(t, owner.url, id)
 
-	resp, err := http.Get(owner.url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The healthy-peer gauge follows the failure detector, which may be
+	// mid-probe-round on a loaded machine: wait (bounded) for it to
+	// read the one live peer before asserting on the scrape.
+	scrape := func() string {
+		resp, err := http.Get(owner.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return string(raw)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	text := string(raw)
+	text := scrape()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(text, "verdictd_cluster_peers_healthy 1") && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+		text = scrape()
+	}
 	for _, want := range []string{
 		"verdictd_cluster_peers_healthy 1",
 		`verdictd_cluster_replications_total{result="ok"}`,
@@ -603,8 +623,8 @@ func TestClusterRejoinAdoptsFleetVerdict(t *testing.T) {
 	id := "cafe" + strings.Repeat("0", 28)
 	fleet := storedJob{Status: StatusFailed, Error: "fleet version"}
 	stale := storedJob{Status: StatusFailed, Error: "stale version"}
-	nodes[1].s.adoptSettled(id, fleet) // the bytes clients observed
-	nodes[0].s.adoptSettled(id, stale) // a never-published replayed copy
+	nodes[1].s.adoptSettled(id, fleet, false) // the bytes clients observed
+	nodes[0].s.adoptSettled(id, stale, false) // a never-published replayed copy
 
 	nodes[0].s.reconcileSettled()
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"verdict/internal/cache"
 	"verdict/internal/journal"
@@ -110,24 +109,33 @@ func (d *durability) fail(log interface{ Printf(string, ...any) }, op string, er
 // records from peers or pre-multi-tenancy versions → default tenant).
 func (s *Server) persistAccepted(id string, reqJSON json.RawMessage, owner, tenant string) {
 	d := s.durable
-	if d == nil || d.failed.Load() {
-		return
-	}
-	if resilience.At(nil, "journal/append") == resilience.FaultExhaust {
+	if d != nil && !d.failed.Load() && resilience.At(nil, "journal/append") == resilience.FaultExhaust {
 		d.fail(s.cfg.Log, "journal append", fmt.Errorf("injected disk failure"))
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.j.Append(journal.Record{Type: journal.TypeAccepted, ID: id, Request: reqJSON, Owner: owner, Tenant: tenant}); err != nil {
-		d.fail(s.cfg.Log, "journal append", err)
-	}
+	s.appendRecord(journal.Record{Type: journal.TypeAccepted, ID: id, Request: reqJSON, Owner: owner, Tenant: tenant})
 }
 
-// persistSettled durably records a job's outcome — journal first,
-// then the result store — before the caller publishes it. Returns the
-// snapshot so the caller can reuse the exact bytes.
-func (s *Server) persistSettled(j *job, snap storedJob) {
+// appendRecord journals rec unless the daemon runs memory-only; a
+// failed append degrades it to memory-only. Reports whether rec is on
+// disk.
+func (s *Server) appendRecord(rec journal.Record) bool {
+	d := s.durable
+	if d == nil || d.failed.Load() {
+		return false
+	}
+	d.mu.Lock()
+	err := d.j.Append(rec)
+	d.mu.Unlock()
+	if err != nil {
+		d.fail(s.cfg.Log, "journal append", err)
+	}
+	return err == nil
+}
+
+// persistSettled durably records id's outcome — journal first, then
+// the result store — before settle publishes it.
+func (s *Server) persistSettled(id string, snap storedJob) {
 	d := s.durable
 	if d == nil || d.failed.Load() {
 		return
@@ -137,14 +145,10 @@ func (s *Server) persistSettled(j *job, snap storedJob) {
 		d.fail(s.cfg.Log, "snapshot encode", err)
 		return
 	}
-	d.mu.Lock()
-	err = d.j.Append(journal.Record{Type: journal.TypeSettled, ID: j.id, Status: snap.Status, Error: snap.Error, Result: snap.Result})
-	d.mu.Unlock()
-	if err != nil {
-		d.fail(s.cfg.Log, "journal append", err)
+	if !s.appendRecord(journal.Record{Type: journal.TypeSettled, ID: id, Status: snap.Status, Error: snap.Error, Result: snap.Result}) {
 		return
 	}
-	if err := d.store.Put(j.id, raw); err != nil {
+	if err := d.store.Put(id, raw); err != nil {
 		d.fail(s.cfg.Log, "result store write", err)
 		return
 	}
@@ -186,58 +190,28 @@ func (s *Server) maybeCompact() {
 	d.bytesSinceCompact.Store(0)
 }
 
-// restoreFromStore rehydrates a settled job from its disk snapshot,
-// inserting it into the LRU. Returns nil when the id is unknown (or
-// the snapshot is unreadable — treated as a miss, never an error).
-func (s *Server) restoreFromStore(id string) *job {
-	d := s.durable
-	if d == nil {
-		return nil
+// storedSnapshot reads id's settled snapshot from the disk store. An
+// unreadable snapshot is a miss, never an error.
+func (s *Server) storedSnapshot(id string) (snap storedJob, ok bool) {
+	if d := s.durable; d != nil {
+		raw, found, err := d.store.Get(id)
+		ok = err == nil && found && json.Unmarshal(raw, &snap) == nil
 	}
-	// Memory first: only an id that misses both the in-flight table
-	// and the LRU costs a disk read.
-	s.mu.Lock()
-	if cur, ok := s.inflight[id]; ok {
-		s.mu.Unlock()
-		return cur
-	}
-	if v, ok := s.finished.Get(id); ok {
-		s.mu.Unlock()
-		return v.(*job)
-	}
-	s.mu.Unlock()
-	raw, ok, err := d.store.Get(id)
-	if err != nil || !ok {
-		return nil
-	}
-	j, ok := decodeStored(id, raw)
-	if !ok {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Lost the race against a concurrent restore or a re-run: keep
-	// whatever is already live.
-	if cur, ok := s.inflight[id]; ok {
-		return cur
-	}
-	if v, ok := s.finished.Get(id); ok {
-		return v.(*job)
-	}
-	s.finished.Add(id, j)
-	return j
+	return snap, ok
 }
 
-// decodeStored turns a disk snapshot back into a servable job.
-func decodeStored(id string, raw []byte) (*job, bool) {
-	var snap storedJob
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, false
-	}
+// settledJob builds the published job a snapshot describes, rejecting
+// garbage — from disk or from a peer — that must not settle anything.
+func settledJob(id string, snap storedJob) (*job, bool) {
 	if snap.Status != StatusDone && snap.Status != StatusFailed {
 		return nil, false
 	}
-	j := &job{id: id, status: snap.Status, errMsg: snap.Error, done: make(chan struct{})}
+	// A published job is done exactly when it carries a result, so a
+	// snapshot whose status and result disagree is garbage.
+	if (snap.Status == StatusDone) != (len(snap.Result) > 0) {
+		return nil, false
+	}
+	j := &job{id: id, errMsg: snap.Error, done: make(chan struct{})}
 	if len(snap.Result) > 0 {
 		var res mc.Result
 		if err := json.Unmarshal(snap.Result, &res); err != nil {
@@ -245,10 +219,8 @@ func decodeStored(id string, raw []byte) (*job, bool) {
 		}
 		j.result = &res
 	}
-	if j.status == StatusDone && j.result == nil {
-		return nil, false
-	}
-	close(j.done) // settled: ?wait=1 must not block
+	j.transition(evRestore) // a bare job is a Shadow: cannot fail
+	close(j.done)           // settled: ?wait=1 must not block
 	return j, true
 }
 
@@ -326,19 +298,18 @@ func (s *Server) replayJournal() {
 				d.restored.Add(1)
 				continue
 			}
+			// The live entry comes from the replayed bytes, not a job: a
+			// worker may already be settling it (and clearing its
+			// request) the moment reenqueue returns.
+			rec := journal.Record{Type: journal.TypeAccepted, ID: id, Request: e.request, Owner: e.owner, Tenant: e.tenant}
 			if cs := s.cluster; cs != nil && e.owner != "" && !cs.c.IsSelf(e.owner) {
 				// A peer's promise journaled here for replication: shadow
 				// it — run it only if the owner is declared dead — rather
 				// than re-enqueueing a job the owner is probably running.
 				s.addShadow(id, e.request, e.owner, e.tenant)
-				live = append(live, journal.Record{Type: journal.TypeAccepted, ID: id, Request: e.request, Owner: e.owner, Tenant: e.tenant})
-				continue
-			}
-			if s.reenqueue(id, e.request, e.owner, e.tenant) {
-				// Record the live entry from the replayed bytes, not the
-				// job: a worker may already be settling it (and clearing
-				// its request) the moment reenqueue returns.
-				live = append(live, journal.Record{Type: journal.TypeAccepted, ID: id, Request: e.request, Owner: e.owner, Tenant: e.tenant})
+				live = append(live, rec)
+			} else if s.reenqueue(id, e.request, e.owner, e.tenant) {
+				live = append(live, rec)
 				d.replayed.Add(1)
 			}
 		}
@@ -369,52 +340,20 @@ func (s *Server) replayJournal() {
 	s.restoreWatches(openWatch)
 }
 
-// reenqueue recompiles a journaled request and admits it under its
+// reenqueue recompiles a journaled request and queues it under its
 // original id. A request that no longer compiles (version skew,
 // damaged payload) settles as failed so its id still answers. tenant
 // places the job back in its fair queue; records written before
 // multi-tenancy existed have none and map to the default tenant.
 func (s *Server) reenqueue(id string, reqJSON json.RawMessage, owner, tenant string) bool {
-	var req CheckRequest
-	err := json.Unmarshal(reqJSON, &req)
-	var cr *compiled
-	if err == nil {
-		cr, err = s.compile(req)
-	}
-	if err != nil {
+	j, err := s.admitJournaled(id, reqJSON, owner, tenant)
+	if j == nil {
 		s.cfg.Log.Printf("durability: journaled job %s no longer compiles (%v); settling as failed", id, err)
 		snap := storedJob{Status: StatusFailed, Error: fmt.Sprintf("replay: request no longer compiles: %v", err)}
-		if raw, merr := json.Marshal(snap); merr == nil {
-			if perr := s.durable.store.Put(id, raw); perr != nil {
-				s.durable.fail(s.cfg.Log, "result store write", perr)
-			}
-		}
+		s.settle(&job{id: id, done: make(chan struct{})}, snap, nil, false)
 		return false
 	}
-	if cr.id != id {
-		// The content address is derived from the request, so this
-		// means the addressing scheme changed between versions. Honor
-		// the journaled id — it is the one the client holds.
-		s.cfg.Log.Printf("durability: journaled job %s recompiles to %s; keeping the journaled id", id, cr.id)
-	}
-	ten := s.tenants.lookup(tenant)
-	j := &job{id: id, key: cr.key, owner: owner, tenant: ten.name, class: ten.class,
-		acceptedAt: time.Now(), sys: cr.sys, phi: cr.phi, opts: cr.opts, pol: cr.pol,
-		abs: cr.abs, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
-	s.mu.Lock()
-	if _, dup := s.inflight[j.id]; dup {
-		s.mu.Unlock()
-		return false
-	}
-	s.inflight[j.id] = j
-	s.mu.Unlock()
-	// Force, not Push: replay may enqueue more than QueueDepth jobs.
-	// Admission control applies to new traffic, not to work the daemon
-	// already promised — but the job still lands in its tenant's fair
-	// queue, so a restart does not let one tenant's backlog jump ahead
-	// of everyone else's.
-	s.sched.Force(j, ten.weight)
-	return true
+	return err == nil
 }
 
 // closeDurable shuts the journal file; called from Server.Close.

@@ -183,9 +183,9 @@ const (
 	StatusFailed  = "failed"
 )
 
-// job is one admitted check. Status transitions (queued → running →
-// done|failed) are guarded by Server.mu; done is closed exactly once
-// when the job leaves the running state.
+// job is one admitted check. Its phase (lifecycle.go) is guarded by
+// Server.mu and changes only through transition; done is closed
+// exactly once, when the job is published.
 type job struct {
 	id  string
 	key string
@@ -217,13 +217,9 @@ type job struct {
 	// compactor can rewrite it; dropped at settlement.
 	reqJSON json.RawMessage
 
-	status string
+	phase  phase
 	result *mc.Result
 	errMsg string
-	// sealed is claimed (under Server.mu) by whichever settles the job
-	// first — the local worker or a replicated snapshot from a peer —
-	// so exactly one outcome is persisted and published.
-	sealed bool
 	done   chan struct{}
 }
 
@@ -489,38 +485,6 @@ func (s *Server) worker() {
 	}
 }
 
-// cancelExpired settles a job whose propagated deadline passed while
-// it sat in the queue: running it now would burn a worker on an
-// answer nobody is waiting for. The cancellation is a real settlement
-// — replicated, journaled, published — so the 202 the client holds
-// still resolves (to a failure naming the deadline), and a restart
-// does not resurrect the job.
-func (s *Server) cancelExpired(j *job) {
-	s.mu.Lock()
-	if j.sealed {
-		s.mu.Unlock()
-		return
-	}
-	j.sealed = true
-	s.mu.Unlock()
-	snap := storedJob{Status: StatusFailed, Error: "deadline expired before the check started; cancelled at worker pickup"}
-	if remote, conflict := s.replicateSettled(j.id, snap); conflict {
-		if _, ok := decodeStored(j.id, mustMarshal(remote)); ok {
-			snap = remote
-		}
-	}
-	s.persistSettled(j, snap)
-	var res *mc.Result
-	if snap.Status == StatusDone {
-		if dec, ok := decodeStored(j.id, mustMarshal(snap)); ok {
-			res = dec.result
-		}
-	}
-	s.publish(j, snap, res)
-	s.mExpired.Inc()
-	s.mChecks.Inc("expired")
-}
-
 func (s *Server) runJob(j *job) {
 	// Queue wait (acceptance → pickup) is the overload signal: it feeds
 	// the histogram and the brownout ladder before the job runs. Watch
@@ -530,26 +494,29 @@ func (s *Server) runJob(j *job) {
 		s.hQueueWait.Observe(wait.Seconds(), classLabel(j.class))
 		s.brown.Observe(wait)
 	}
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		s.cancelExpired(j)
-		return
-	}
 	s.mu.Lock()
-	if j.sealed {
-		// A peer settled this job while it sat in the queue (a stolen
-		// job coming home, or a replicated verdict): nothing to run.
-		s.mu.Unlock()
-		return
-	}
-	j.status = StatusRunning
-	// Clamp the check's wall clock to the remaining budget: a job
-	// cannot outlive the deadline its client stopped waiting at.
-	if !j.deadline.IsZero() {
-		if rem := time.Until(j.deadline); rem > 0 && rem < j.opts.Timeout {
-			j.opts.Timeout = rem
-		}
+	expired := deadlinePassed(j.deadline, &j.opts)
+	var err error
+	if !expired {
+		err = j.transition(evStart)
 	}
 	s.mu.Unlock()
+	if expired {
+		// Running it now would burn a worker on an answer nobody is
+		// waiting for. The cancellation is a real settlement, so the 202
+		// the client holds still resolves (to a failure naming the
+		// deadline), and a restart does not resurrect the job.
+		if s.settle(j, storedJob{Status: StatusFailed, Error: deadlineExpiredMsg}, nil, true) {
+			s.mExpired.Inc()
+			s.mChecks.Inc("expired")
+		}
+		return
+	}
+	if err != nil {
+		// A peer settled this job while it sat in the queue (a stolen
+		// job coming home, or a replicated verdict): nothing to run.
+		return
+	}
 	s.gInflight.Add(1)
 	start := time.Now()
 	res, err := s.runCheck(j.sys, j.phi, j.opts, j.pol, j.abs)
@@ -557,42 +524,16 @@ func (s *Server) runJob(j *job) {
 	s.gInflight.Add(-1)
 
 	snap, res := buildSnapshot(res, err)
-	verdict, engine := "error", "error"
-	if snap.Status == StatusDone {
-		verdict = res.Status.String()
-		engine = engineLabel(res.Engine)
-	}
-
-	s.mu.Lock()
-	if j.sealed {
+	if !s.settle(j, snap, res, true) {
 		// Lost the settlement race to a replicated snapshot; its bytes
 		// are already pinned — discard this run's.
-		s.mu.Unlock()
 		return
 	}
-	j.sealed = true
-	s.mu.Unlock()
-	// Durability before visibility: the outcome is pushed to the
-	// replica set, journaled, and in the result store before any
-	// client can observe it, so a settled verdict survives both a
-	// crash and the death of this node byte-identically. Replication
-	// runs first because it doubles as conflict detection: if a
-	// replica already pinned different bytes for this id (the fleet
-	// settled it while this node was partitioned or restarting), those
-	// bytes were published and ours were not — adopt theirs.
-	if remote, conflict := s.replicateSettled(j.id, snap); conflict {
-		if dec, ok := decodeStored(j.id, mustMarshal(remote)); ok {
-			snap, res = remote, dec.result
-			verdict, engine = "error", "error"
-			if snap.Status == StatusDone {
-				verdict = res.Status.String()
-				engine = engineLabel(res.Engine)
-			}
-		}
+	verdict, engine := "error", "error"
+	if j.result != nil {
+		verdict = j.result.Status.String()
+		engine = engineLabel(j.result.Engine)
 	}
-	s.persistSettled(j, snap)
-	s.publish(j, snap, res)
-
 	s.mChecks.Inc(verdict)
 	s.hLatency.Observe(elapsed.Seconds(), engine)
 	if j.result != nil && j.result.Status != mc.Unknown {
@@ -608,6 +549,10 @@ func (s *Server) runJob(j *job) {
 		s.cfg.Log.Printf("check %s failed: %s", j.id, j.errMsg)
 	}
 }
+
+// deadlineExpiredMsg is the failure a job settles with when its
+// propagated deadline passed before a worker picked it up.
+const deadlineExpiredMsg = "deadline expired before the check started; cancelled at worker pickup"
 
 // checkAbstract runs the symmetry-quotient CEGAR pipeline behind the
 // same panic guard as the portfolio path.
@@ -662,28 +607,6 @@ func buildSnapshot(res *mc.Result, err error) (storedJob, *mc.Result) {
 		return snap, res
 	}
 	return snap, nil
-}
-
-// publish makes a sealed, persisted settlement visible: the job moves
-// from the in-flight table to the finished cache and its done channel
-// closes. Callers must have claimed j.sealed first.
-func (s *Server) publish(j *job, snap storedJob, res *mc.Result) {
-	s.mu.Lock()
-	j.status = snap.Status
-	j.errMsg = snap.Error
-	if snap.Status == StatusDone {
-		j.result = res
-	}
-	delete(s.inflight, j.id)
-	// Settled jobs only serve status/error/result, so drop the parsed
-	// system, formula, and request before caching — CacheSize entries
-	// of large models would otherwise stay pinned in memory.
-	j.sys, j.phi, j.reqJSON, j.abs = nil, nil, nil, nil
-	j.opts, j.pol = mc.Options{}, resilience.RetryPolicy{}
-	s.finished.Add(j.id, j)
-	s.mu.Unlock()
-	close(j.done)
-	s.removeShadow(j.id)
 }
 
 // engineLabel collapses "portfolio/bmc" to "bmc" so the win counters
@@ -779,9 +702,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, st, class, level, "shedding all submissions")
 		return
 	}
-	// Warm the LRU from the disk-backed store first, so results that
-	// outlived the LRU (or a restart) are cache hits, not re-runs.
-	s.restoreFromStore(cr.id)
+	// Results that outlived the LRU (or a restart) are read back from
+	// the disk-backed store: cache hits, not re-runs.
 	if s.answerFromCache(w, cr.id) {
 		return
 	}
@@ -816,10 +738,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %q rate limit exceeded", st.name))
 		return
 	}
-	var owner string
-	if s.cluster != nil {
-		owner = s.cluster.c.Self()
-	}
+	j := newJob(cr.id, cr, reqJSON, s.ownerURL(), st.name, class)
+	j.acceptedAt, j.deadline = time.Now(), deadline
 
 	s.mu.Lock()
 	// Singleflight re-check: an identical submission may have admitted
@@ -836,9 +756,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new checks")
 		return
 	}
-	j := &job{id: cr.id, key: cr.key, owner: owner, tenant: st.name, class: class,
-		acceptedAt: time.Now(), deadline: deadline, sys: cr.sys, phi: cr.phi,
-		opts: cr.opts, pol: cr.pol, abs: cr.abs, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
+	j.transition(evQueue) // a fresh job is a Shadow: cannot fail
 	switch err := s.sched.Push(j, st.weight, st.maxQueued); err {
 	case nil:
 	case errTenantQuota:
@@ -860,11 +778,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight[j.id] = j
 	s.mu.Unlock()
-	// Journal the acceptance (fsync'd) and push it to the replica set
-	// before acknowledging: once the client holds this id, neither a
-	// crash nor the death of this node can lose the job.
-	s.persistAccepted(j.id, reqJSON, owner, j.tenant)
-	s.replicateAccept(j)
+	s.accept(j, reqJSON)
 	s.mCacheMiss.Inc()
 	s.writeJob(w, http.StatusAccepted, j, false)
 }
@@ -880,47 +794,62 @@ func (s *Server) shed(w http.ResponseWriter, st *tenantState, class, level int, 
 	writeError(w, http.StatusTooManyRequests, fmt.Sprintf("brownout level %d: %s", level, why))
 }
 
-// answerFromCache serves a submission from the in-flight table (the
-// singleflight path: an identical request is the same content
-// address) or the finished cache; reports whether it answered.
+// answerFromCache serves a submission from an identical in-flight job
+// (the singleflight path: an identical request is the same content
+// address) or a settled verdict; reports whether it answered. A cached
+// failure (caught panic, transient engine error) is not a reusable
+// verdict — the check re-runs, and the fresh job replaces the stale
+// entry when it settles.
 func (s *Server) answerFromCache(w http.ResponseWriter, id string) bool {
-	s.mu.Lock()
-	if j, ok := s.inflight[id]; ok {
+	j, ok := s.lookup(id)
+	if ok {
+		s.mu.Lock()
+		ok = j.status() != StatusFailed
 		s.mu.Unlock()
+	}
+	if ok {
 		s.mCacheHits.Inc()
 		s.writeJob(w, http.StatusOK, j, true)
-		return true
 	}
-	if v, ok := s.finished.Get(id); ok {
-		// A cached failure (caught panic, transient engine error) is
-		// not a reusable verdict — fall through and re-run the check;
-		// the fresh job replaces the stale entry when it settles.
-		if fj := v.(*job); fj.status != StatusFailed {
-			s.mu.Unlock()
-			s.mCacheHits.Inc()
-			s.writeJob(w, http.StatusOK, fj, true)
-			return true
-		}
-	}
-	s.mu.Unlock()
-	return false
+	return ok
 }
 
+// lookup finds id's job in flight, in the finished cache, or — the
+// disk store outlives both the LRU and the process — rehydrated from
+// its stored snapshot and re-inserted into the LRU.
 func (s *Server) lookup(id string) (*job, bool) {
 	s.mu.Lock()
+	j, ok := s.memLookupLocked(id)
+	s.mu.Unlock()
+	if ok {
+		return j, true
+	}
+	snap, ok := s.storedSnapshot(id)
+	if ok {
+		j, ok = settledJob(id, snap)
+	}
+	if !ok {
+		return nil, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Lost the race against a concurrent restore or a re-run: keep
+	// whatever is already live.
+	if cur, ok := s.memLookupLocked(id); ok {
+		return cur, true
+	}
+	s.finished.Add(id, j)
+	return j, true
+}
+
+// memLookupLocked finds id in the in-flight table or the finished
+// cache. Callers hold s.mu.
+func (s *Server) memLookupLocked(id string) (*job, bool) {
 	if j, ok := s.inflight[id]; ok {
-		s.mu.Unlock()
 		return j, true
 	}
 	if v, ok := s.finished.Get(id); ok {
-		s.mu.Unlock()
 		return v.(*job), true
-	}
-	s.mu.Unlock()
-	// The disk store outlives both the LRU and the process: an id
-	// evicted from memory (or served before a restart) still answers.
-	if j := s.restoreFromStore(id); j != nil {
-		return j, true
 	}
 	return nil, false
 }
@@ -1061,7 +990,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // answered without starting a new check.
 func (s *Server) writeJob(w http.ResponseWriter, code int, j *job, cached bool) {
 	s.mu.Lock()
-	resp := CheckResponse{ID: j.id, Status: j.status, Cached: cached, Error: j.errMsg, Result: j.result}
+	resp := CheckResponse{ID: j.id, Status: j.status(), Cached: cached, Error: j.errMsg, Result: j.result}
 	if j.result != nil {
 		// Explicit "none" (rather than an absent field) so clients can
 		// tell "not validated" apart from "talking to an old daemon".

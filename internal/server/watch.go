@@ -167,29 +167,23 @@ func (s *Server) watchVerify(ctx context.Context, p extract.Property) watch.Outc
 		return watch.Outcome{Verdict: watch.VerdictFailed, Err: err.Error()}
 	}
 
-	cached := true
-	s.restoreFromStore(cr.id)
+	s.lookup(cr.id) // warm the LRU from the disk-backed store
 	s.mu.Lock()
-	j, live := s.inflight[cr.id]
-	if !live {
-		if v, ok := s.finished.Get(cr.id); ok && v.(*job).status != StatusFailed {
-			j = v.(*job)
-		} else {
-			// New work: register the job in the in-flight table so
-			// concurrent identical submissions (client or watch) collapse
-			// onto this run, then execute it on this goroutine — watch
-			// re-checks must not compete with clients for queue slots.
-			cached = false
-			j = &job{id: cr.id, key: cr.key, owner: s.ownerURL(), sys: cr.sys, phi: cr.phi,
-				opts: cr.opts, pol: cr.pol, reqJSON: reqJSON, status: StatusQueued, done: make(chan struct{})}
-			s.inflight[j.id] = j
-		}
+	j, cached := s.memLookupLocked(cr.id)
+	cached = cached && j.status() != StatusFailed
+	if !cached {
+		// New work: register the job in the in-flight table so
+		// concurrent identical submissions (client or watch) collapse
+		// onto this run, then execute it on this goroutine — watch
+		// re-checks must not compete with clients for queue slots.
+		j = newJob(cr.id, cr, reqJSON, s.ownerURL(), "", classInteractive)
+		j.transition(evQueue) // a fresh job is a Shadow: cannot fail
+		s.inflight[j.id] = j
 	}
 	s.mu.Unlock()
 
 	if !cached {
-		s.persistAccepted(j.id, reqJSON, j.owner, j.tenant)
-		s.replicateAccept(j)
+		s.accept(j, reqJSON)
 		s.runJob(j)
 	}
 	select {
@@ -199,9 +193,9 @@ func (s *Server) watchVerify(ctx context.Context, p extract.Property) watch.Outc
 	}
 
 	s.mu.Lock()
-	status, errMsg, res := j.status, j.errMsg, j.result
+	errMsg, res := j.errMsg, j.result
 	s.mu.Unlock()
-	if status != StatusDone || res == nil {
+	if res == nil {
 		return watch.Outcome{Verdict: watch.VerdictFailed, Err: errMsg, Cached: cached}
 	}
 	out := watch.Outcome{
@@ -417,16 +411,7 @@ func (s *Server) persistWatch(snap *watch.Snapshot) {
 	}
 	s.watchMu.Unlock()
 
-	d := s.durable
-	if d == nil || d.failed.Load() {
-		return
-	}
-	d.mu.Lock()
-	err = d.j.Append(journal.Record{Type: journal.TypeWatch, ID: snap.ID, Request: raw})
-	d.mu.Unlock()
-	if err != nil {
-		d.fail(s.cfg.Log, "journal append", err)
-	}
+	s.appendRecord(journal.Record{Type: journal.TypeWatch, ID: snap.ID, Request: raw})
 }
 
 // watchRecords returns the live watch snapshots as journal records
