@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"strings"
@@ -468,7 +469,12 @@ func evalCompare(op Op, a, b Value) bool {
 		}
 		return !eq
 	}
-	c := a.Rat().Cmp(b.Rat())
+	var c int
+	if a.Kind == KindInt && b.Kind == KindInt {
+		c = cmp.Compare(a.I, b.I)
+	} else {
+		c = a.Rat().Cmp(b.Rat())
+	}
 	switch op {
 	case OpEq:
 		return c == 0

@@ -26,119 +26,217 @@ var EmptyEnv Env = MapEnv(nil)
 // Eval evaluates e with cur binding current-state variables and next
 // binding next-state variables (next may be nil when e contains no
 // OpNext nodes). It returns an error when a referenced variable is
-// unbound or a division by zero occurs.
+// unbound or a division by zero occurs. Callers evaluating the same
+// expression in many states should Compile it once instead.
 func Eval(e *Expr, cur, next Env) (Value, error) {
+	return Compile(e).Eval(cur, next)
+}
+
+// EvalBool evaluates a boolean expression, returning its truth value.
+func EvalBool(e *Expr, cur, next Env) (bool, error) {
+	return Compile(e).EvalBool(cur, next)
+}
+
+// Program is an expression compiled for repeated evaluation. Compile
+// numbers each distinct node of the expression DAG once, and each Eval
+// computes every node it needs at most once, into a slot array reused
+// across calls. A shared subterm therefore costs one evaluation however
+// many parents reach it, where a tree walk would pay once per path to
+// it.
+//
+// Evaluation is lazy: And, Or, Implies and Ite evaluate only the
+// operands they need, so an unbound variable or a division by zero in
+// a branch that is not taken raises no error. A Program is not safe
+// for concurrent use.
+type Program struct {
+	nodes []progNode
+	args  []int32 // node argument numbers, sliced by progNode.lo/hi
+	vals  []Value
+	stamp []uint32 // vals[i] is current iff stamp[i] == epoch
+	epoch uint32
+
+	cur, next Env
+}
+
+type progNode struct {
+	e      *Expr
+	lo, hi int32
+}
+
+// Compile numbers e's nodes for evaluation with Program.Eval.
+func Compile(e *Expr) *Program {
+	p := &Program{}
+	index := make(map[*Expr]int32)
+	var pending []int32 // argument numbers of the nodes being numbered, innermost last
+	var number func(*Expr) int32
+	number = func(e *Expr) int32 {
+		if i, ok := index[e]; ok {
+			return i
+		}
+		base := len(pending)
+		if e.Op != OpNext { // next(v) reads the env; its v argument is never evaluated
+			for _, a := range e.Args {
+				j := number(a)
+				pending = append(pending, j)
+			}
+		}
+		i, lo := int32(len(p.nodes)), int32(len(p.args))
+		p.args = append(p.args, pending[base:]...)
+		pending = pending[:base]
+		p.nodes = append(p.nodes, progNode{e: e, lo: lo, hi: int32(len(p.args))})
+		index[e] = i
+		return i
+	}
+	number(e)
+	p.vals = make([]Value, len(p.nodes))
+	p.stamp = make([]uint32, len(p.nodes))
+	return p
+}
+
+// Eval evaluates the compiled expression with cur binding current-state
+// variables and next binding next-state variables (next may be nil when
+// the expression contains no OpNext nodes), with the errors of the
+// package-level Eval.
+func (p *Program) Eval(cur, next Env) (Value, error) {
+	p.epoch++
+	if p.epoch == 0 { // wrapped: every old stamp could now look current
+		clear(p.stamp)
+		p.epoch = 1
+	}
+	p.cur, p.next = cur, next
+	v, err := p.eval(int32(len(p.nodes) - 1))
+	p.cur, p.next = nil, nil
+	return v, err
+}
+
+// EvalBool evaluates a compiled boolean expression.
+func (p *Program) EvalBool(cur, next Env) (bool, error) {
+	if e := p.nodes[len(p.nodes)-1].e; e.T.Kind != KindBool {
+		return false, fmt.Errorf("expr: EvalBool on %s-typed expression", e.T)
+	}
+	v, err := p.Eval(cur, next)
+	if err != nil {
+		return false, err
+	}
+	return v.B, nil
+}
+
+// eval returns node i's value, computing it on first use in this Eval.
+// Errors are not memoized: every operator propagates its operands'
+// errors, so the first error ends the whole evaluation.
+func (p *Program) eval(i int32) (Value, error) {
+	if p.stamp[i] == p.epoch {
+		return p.vals[i], nil
+	}
+	v, err := p.compute(p.nodes[i])
+	if err != nil {
+		return Value{}, err
+	}
+	p.vals[i], p.stamp[i] = v, p.epoch
+	return v, nil
+}
+
+func (p *Program) compute(n progNode) (Value, error) {
+	e, args := n.e, p.args[n.lo:n.hi]
 	switch e.Op {
 	case OpConst:
 		return e.Val, nil
 	case OpVar:
-		if v, ok := cur.Value(e.V); ok {
+		if v, ok := p.cur.Value(e.V); ok {
 			return v, nil
 		}
 		return Value{}, fmt.Errorf("expr: unbound variable %s", e.V.Name)
 	case OpNext:
-		if next == nil {
+		if p.next == nil {
 			return Value{}, fmt.Errorf("expr: next(%s) evaluated without next-state env", e.V.Name)
 		}
-		if v, ok := next.Value(e.V); ok {
+		if v, ok := p.next.Value(e.V); ok {
 			return v, nil
 		}
 		return Value{}, fmt.Errorf("expr: unbound next-state variable %s", e.V.Name)
-	case OpNot:
-		a, err := Eval(e.Args[0], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(!a.B), nil
-	case OpAnd:
-		for _, arg := range e.Args {
-			a, err := Eval(arg, cur, next)
+	case OpAnd, OpOr:
+		// And stops at the first false operand, Or at the first true.
+		stop := e.Op == OpOr
+		for _, a := range args {
+			v, err := p.eval(a)
 			if err != nil {
 				return Value{}, err
 			}
-			if !a.B {
-				return BoolValue(false), nil
+			if v.B == stop {
+				return BoolValue(stop), nil
 			}
 		}
-		return BoolValue(true), nil
-	case OpOr:
-		for _, arg := range e.Args {
-			a, err := Eval(arg, cur, next)
-			if err != nil {
-				return Value{}, err
-			}
-			if a.B {
-				return BoolValue(true), nil
-			}
-		}
-		return BoolValue(false), nil
+		return BoolValue(!stop), nil
 	case OpImplies:
-		a, err := Eval(e.Args[0], cur, next)
+		a, err := p.eval(args[0])
 		if err != nil {
 			return Value{}, err
 		}
 		if !a.B {
 			return BoolValue(true), nil
 		}
-		return Eval(e.Args[1], cur, next)
+		return p.eval(args[1])
+	case OpIte:
+		c, err := p.eval(args[0])
+		if err != nil {
+			return Value{}, err
+		}
+		if c.B {
+			return p.eval(args[1])
+		}
+		return p.eval(args[2])
+	}
+	// Every remaining operator is strict: evaluate all operands, in
+	// order, into their slots.
+	for _, a := range args {
+		if _, err := p.eval(a); err != nil {
+			return Value{}, err
+		}
+	}
+	arg := func(k int) Value { return p.vals[args[k]] }
+	switch e.Op {
+	case OpNot:
+		return BoolValue(!arg(0).B), nil
 	case OpIff:
-		a, err := Eval(e.Args[0], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := Eval(e.Args[1], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(a.B == b.B), nil
+		return BoolValue(arg(0).B == arg(1).B), nil
 	case OpXor:
-		a, err := Eval(e.Args[0], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := Eval(e.Args[1], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolValue(a.B != b.B), nil
+		return BoolValue(arg(0).B != arg(1).B), nil
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		a, err := Eval(e.Args[0], cur, next)
-		if err != nil {
-			return Value{}, err
+		return BoolValue(evalCompare(e.Op, arg(0), arg(1))), nil
+	case OpCount:
+		var n int64
+		for k := range args {
+			if arg(k).B {
+				n++
+			}
 		}
-		b, err := Eval(e.Args[1], cur, next)
-		if err != nil {
-			return Value{}, err
+		return IntValue(n), nil
+	case OpDiv:
+		br := arg(1).Rat()
+		if br.Sign() == 0 {
+			return Value{}, fmt.Errorf("expr: division by zero in %s", e)
 		}
-		return BoolValue(evalCompare(e.Op, a, b)), nil
+		return RealValue(new(big.Rat).Quo(arg(0).Rat(), br)), nil
 	case OpAdd, OpSub, OpNeg, OpMul:
-		vals := make([]Value, len(e.Args))
 		allInt := true
-		for i, arg := range e.Args {
-			v, err := Eval(arg, cur, next)
-			if err != nil {
-				return Value{}, err
-			}
-			vals[i] = v
-			if v.Kind != KindInt {
-				allInt = false
-			}
+		for k := range args {
+			allInt = allInt && arg(k).Kind == KindInt
 		}
 		if allInt {
 			var acc int64
 			switch e.Op {
 			case OpAdd:
-				for _, v := range vals {
-					acc += v.I
+				for k := range args {
+					acc += arg(k).I
 				}
 			case OpSub:
-				acc = vals[0].I - vals[1].I
+				acc = arg(0).I - arg(1).I
 			case OpNeg:
-				acc = -vals[0].I
+				acc = -arg(0).I
 			case OpMul:
 				acc = 1
-				for _, v := range vals {
-					acc *= v.I
+				for k := range args {
+					acc *= arg(k).I
 				}
 			}
 			return IntValue(acc), nil
@@ -146,67 +244,20 @@ func Eval(e *Expr, cur, next Env) (Value, error) {
 		acc := new(big.Rat)
 		switch e.Op {
 		case OpAdd:
-			for _, v := range vals {
-				acc.Add(acc, v.Rat())
+			for k := range args {
+				acc.Add(acc, arg(k).Rat())
 			}
 		case OpSub:
-			acc.Sub(vals[0].Rat(), vals[1].Rat())
+			acc.Sub(arg(0).Rat(), arg(1).Rat())
 		case OpNeg:
-			acc.Neg(vals[0].Rat())
+			acc.Neg(arg(0).Rat())
 		case OpMul:
 			acc.SetInt64(1)
-			for _, v := range vals {
-				acc.Mul(acc, v.Rat())
+			for k := range args {
+				acc.Mul(acc, arg(k).Rat())
 			}
 		}
 		return RealValue(acc), nil
-	case OpDiv:
-		a, err := Eval(e.Args[0], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		b, err := Eval(e.Args[1], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		br := b.Rat()
-		if br.Sign() == 0 {
-			return Value{}, fmt.Errorf("expr: division by zero in %s", e)
-		}
-		return RealValue(new(big.Rat).Quo(a.Rat(), br)), nil
-	case OpIte:
-		c, err := Eval(e.Args[0], cur, next)
-		if err != nil {
-			return Value{}, err
-		}
-		if c.B {
-			return Eval(e.Args[1], cur, next)
-		}
-		return Eval(e.Args[2], cur, next)
-	case OpCount:
-		var n int64
-		for _, arg := range e.Args {
-			v, err := Eval(arg, cur, next)
-			if err != nil {
-				return Value{}, err
-			}
-			if v.B {
-				n++
-			}
-		}
-		return IntValue(n), nil
 	}
 	return Value{}, fmt.Errorf("expr: cannot evaluate op %v", e.Op)
-}
-
-// EvalBool evaluates a boolean expression, returning its truth value.
-func EvalBool(e *Expr, cur, next Env) (bool, error) {
-	if e.T.Kind != KindBool {
-		return false, fmt.Errorf("expr: EvalBool on %s-typed expression", e.T)
-	}
-	v, err := Eval(e, cur, next)
-	if err != nil {
-		return false, err
-	}
-	return v.B, nil
 }

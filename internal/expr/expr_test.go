@@ -73,6 +73,58 @@ func TestValueEqualCrossKind(t *testing.T) {
 	}
 }
 
+// Comparisons of every operator across int/int, int/real and real/real
+// operands, evaluated (not constant-folded) through bound variables.
+func TestEvalCompareKinds(t *testing.T) {
+	i := &Var{Name: "i", T: Int(-10, 10)}
+	j := &Var{Name: "j", T: Int(-10, 10)}
+	q := &Var{Name: "q", T: Real()}
+	s := &Var{Name: "s", T: Real()}
+	type pair struct {
+		name string
+		a, b *Expr
+		env  MapEnv
+		cmp  int // sign of a - b
+	}
+	pairs := []pair{
+		{"int<int", i.Ref(), j.Ref(), MapEnv{i: IntValue(-3), j: IntValue(4)}, -1},
+		{"int=int", i.Ref(), j.Ref(), MapEnv{i: IntValue(7), j: IntValue(7)}, 0},
+		{"int>int", i.Ref(), j.Ref(), MapEnv{i: IntValue(5), j: IntValue(-5)}, 1},
+		{"int<real", i.Ref(), q.Ref(), MapEnv{i: IntValue(2), q: RealValue(big.NewRat(5, 2))}, -1},
+		{"int=real", i.Ref(), q.Ref(), MapEnv{i: IntValue(3), q: RealValue(big.NewRat(6, 2))}, 0},
+		{"real>int", q.Ref(), i.Ref(), MapEnv{i: IntValue(-1), q: RealValue(big.NewRat(-1, 3))}, 1},
+		{"real<real", q.Ref(), s.Ref(), MapEnv{q: RealValue(big.NewRat(1, 3)), s: RealValue(big.NewRat(1, 2))}, -1},
+		{"real=real", q.Ref(), s.Ref(), MapEnv{q: RealValue(big.NewRat(2, 4)), s: RealValue(big.NewRat(1, 2))}, 0},
+		{"real>real", q.Ref(), s.Ref(), MapEnv{q: RealValue(big.NewRat(-1, 7)), s: RealValue(big.NewRat(-1, 6))}, 1},
+	}
+	ops := []struct {
+		name string
+		mk   func(a, b *Expr) *Expr
+		want func(c int) bool
+	}{
+		{"=", Eq, func(c int) bool { return c == 0 }},
+		{"!=", Ne, func(c int) bool { return c != 0 }},
+		{"<", Lt, func(c int) bool { return c < 0 }},
+		{"<=", Le, func(c int) bool { return c <= 0 }},
+		{">", Gt, func(c int) bool { return c > 0 }},
+		{">=", Ge, func(c int) bool { return c >= 0 }},
+	}
+	for _, p := range pairs {
+		for _, op := range ops {
+			got, err := EvalBool(op.mk(p.a, p.b), p.env, nil)
+			if err != nil || got != op.want(p.cmp) {
+				t.Errorf("%s %s: %v, %v; want %v", p.name, op.name, got, err, op.want(p.cmp))
+			}
+		}
+		// Value.Equal agrees with = across kinds.
+		av, _ := Eval(p.a, p.env, nil)
+		bv, _ := Eval(p.b, p.env, nil)
+		if av.Equal(bv) != (p.cmp == 0) || bv.Equal(av) != (p.cmp == 0) {
+			t.Errorf("%s: Value.Equal(%v, %v) wrong", p.name, av, bv)
+		}
+	}
+}
+
 func TestValueEqualProperties(t *testing.T) {
 	// Symmetry of Equal over int/real values via testing/quick.
 	f := func(a, b int32) bool {

@@ -1,14 +1,29 @@
 package expr
 
 // Walk calls f on e and, if f returns true, recursively on e's
-// arguments (pre-order).
+// arguments (pre-order). A node with arguments that several parents
+// share is visited once, at its first occurrence, so a walk is linear
+// in the size of the expression DAG rather than of its unfolded tree.
+// Leaves (constants and variable references) are visited once per
+// parent: re-visiting one is as cheap as remembering it.
 func Walk(e *Expr, f func(*Expr) bool) {
-	if !f(e) {
-		return
+	seen := make(map[*Expr]bool)
+	var walk func(*Expr)
+	walk = func(e *Expr) {
+		if len(e.Args) > 0 {
+			if seen[e] {
+				return
+			}
+			seen[e] = true
+		}
+		if !f(e) {
+			return
+		}
+		for _, a := range e.Args {
+			walk(a)
+		}
 	}
-	for _, a := range e.Args {
-		Walk(a, f)
-	}
+	walk(e)
 }
 
 // Vars returns the set of variables referenced by e (via OpVar or

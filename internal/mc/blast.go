@@ -211,6 +211,7 @@ func (u *unroller) extractTrace(loop int) *trace.Trace {
 	for _, p := range u.realParams {
 		t.Params[p.Name] = expr.RealValue(u.ctx.RealValue(p, nil))
 	}
+	showDefines := defineDisplay(u.sys)
 	for _, f := range u.frames {
 		s := trace.NewState()
 		for _, v := range u.finiteState {
@@ -229,16 +230,31 @@ func (u *unroller) extractTrace(loop int) *trace.Trace {
 		for _, p := range u.finiteParams {
 			env[p] = t.Params[p.Name]
 		}
-		for _, name := range u.sys.DefineNames() {
-			def, _ := u.sys.DefineByName(name)
-			if !expr.IsFinite(def) || expr.HasNext(def) {
-				continue
-			}
-			if v, err := expr.Eval(def, env, nil); err == nil {
-				s.Values[name] = v
-			}
-		}
+		showDefines(env, s)
 		t.States = append(t.States, s)
 	}
 	return t
+}
+
+// defineDisplay compiles, once per trace extraction, the DEFINE macros
+// a trace state can show (finite, current-state only). The returned
+// function records their values under env into st; a macro that does
+// not evaluate is left out.
+func defineDisplay(sys *ts.System) func(env expr.MapEnv, st trace.State) {
+	var names []string
+	var progs []*expr.Program
+	for _, name := range sys.DefineNames() {
+		def, _ := sys.DefineByName(name)
+		if expr.IsFinite(def) && !expr.HasNext(def) {
+			names = append(names, name)
+			progs = append(progs, expr.Compile(def))
+		}
+	}
+	return func(env expr.MapEnv, st trace.State) {
+		for i, p := range progs {
+			if v, err := p.Eval(env, nil); err == nil {
+				st.Values[names[i]] = v
+			}
+		}
+	}
 }

@@ -56,20 +56,20 @@ func NewExplicit(sys *ts.System, opts Options) (*Explicit, error) {
 	e.vars = append(e.vars, sys.Params()...)
 
 	// Enumerate initial states: all assignments satisfying INIT∧INVAR.
-	initE := sys.InitExpr()
-	invarE := sys.InvarExpr()
+	initE := expr.Compile(sys.InitExpr())
+	invarE := expr.Compile(sys.InvarExpr())
 	limit := opts.maxExplicit()
 
 	var initStates []explState
 	err := e.forAllAssignments(func(env expr.MapEnv, vals explState) (bool, error) {
-		ok1, err := expr.EvalBool(initE, env, nil)
+		ok1, err := initE.EvalBool(env, nil)
 		if err != nil {
 			return false, err
 		}
 		if !ok1 {
 			return true, nil
 		}
-		ok2, err := expr.EvalBool(invarE, env, nil)
+		ok2, err := invarE.EvalBool(env, nil)
 		if err != nil {
 			return false, err
 		}
@@ -85,7 +85,7 @@ func NewExplicit(sys *ts.System, opts Options) (*Explicit, error) {
 	}
 
 	// BFS over successors.
-	transE := sys.TransExpr()
+	transE := expr.Compile(sys.TransExpr())
 	add := func(s explState) int {
 		k := e.key(s)
 		if i, ok := e.index[k]; ok {
@@ -114,14 +114,14 @@ func NewExplicit(sys *ts.System, opts Options) (*Explicit, error) {
 		curEnv := e.env(e.states[cur])
 		// Enumerate candidate successors: params frozen, state vars free.
 		err := e.forAllStateAssignments(e.states[cur], func(nextEnv expr.MapEnv, vals explState) (bool, error) {
-			ok, err := expr.EvalBool(transE, curEnv, nextEnv)
+			ok, err := transE.EvalBool(curEnv, nextEnv)
 			if err != nil {
 				return false, err
 			}
 			if !ok {
 				return true, nil
 			}
-			ok, err = expr.EvalBool(invarE, nextEnv, nil)
+			ok, err = invarE.EvalBool(nextEnv, nil)
 			if err != nil {
 				return false, err
 			}
@@ -208,16 +208,17 @@ func (e *Explicit) forAllStateAssignments(base explState, fn func(expr.MapEnv, e
 // NumStates returns the number of reachable states.
 func (e *Explicit) NumStates() int { return len(e.states) }
 
-// evalAt evaluates a predicate in state i.
-func (e *Explicit) evalAt(p *expr.Expr, i int) (bool, error) {
-	return expr.EvalBool(p, e.env(e.states[i]), nil)
+// evalAt evaluates a compiled predicate in state i.
+func (e *Explicit) evalAt(p *expr.Program, i int) (bool, error) {
+	return p.EvalBool(e.env(e.states[i]), nil)
 }
 
 // CheckInvariant decides G(p) by scanning reachable states.
 func (e *Explicit) CheckInvariant(p *expr.Expr) (*Result, error) {
 	start := time.Now()
+	prog := expr.Compile(p)
 	for _, i := range e.order {
-		ok, err := e.evalAt(p, i)
+		ok, err := e.evalAt(prog, i)
 		if err != nil {
 			return nil, err
 		}
@@ -238,8 +239,9 @@ func (e *Explicit) CheckInvariant(p *expr.Expr) (*Result, error) {
 // visits ¬p infinitely often).
 func (e *Explicit) CheckFG(p *expr.Expr) (*Result, error) {
 	start := time.Now()
+	prog := expr.Compile(p)
 	for _, i := range e.order {
-		ok, err := e.evalAt(p, i)
+		ok, err := e.evalAt(prog, i)
 		if err != nil {
 			return nil, err
 		}
@@ -259,8 +261,9 @@ func (e *Explicit) CheckFG(p *expr.Expr) (*Result, error) {
 func (e *Explicit) CheckGF(p *expr.Expr) (*Result, error) {
 	start := time.Now()
 	notP := make(map[int]bool)
+	prog := expr.Compile(p)
 	for _, i := range e.order {
-		ok, err := e.evalAt(p, i)
+		ok, err := e.evalAt(prog, i)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"verdict/internal/ctl"
+	"verdict/internal/expr"
 )
 
 // CheckCTL evaluates a CTL formula over the explicit state graph by
@@ -39,8 +40,9 @@ func (e *Explicit) evalCTL(f *ctl.Formula) ([]bool, error) {
 	out := make([]bool, n)
 	switch f.Kind {
 	case ctl.KindAtom:
+		atom := expr.Compile(f.Atom)
 		for i := 0; i < n; i++ {
-			v, err := e.evalAt(f.Atom, i)
+			v, err := e.evalAt(atom, i)
 			if err != nil {
 				return nil, err
 			}

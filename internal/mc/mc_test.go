@@ -9,6 +9,7 @@ import (
 	"verdict/internal/expr"
 	"verdict/internal/ltl"
 	"verdict/internal/ts"
+	"verdict/internal/witness"
 )
 
 // counterSystem: x in [0,7], starts at 0, increments mod 8.
@@ -591,7 +592,7 @@ func TestIncrementalBMCAgrees(t *testing.T) {
 				t.Fatalf("trial %d (%s): rebuild=%v incremental=%v", trial, phi, r1.Status, r2.Status)
 			}
 			if r2.Status == Violated {
-				if err := ValidateTrace(sys, r2.Trace, true); err != nil {
+				if err := witness.Validate(sys, phi, r2.Trace); err != nil {
 					t.Fatalf("trial %d: incremental trace invalid: %v", trial, err)
 				}
 				if r1.Depth != r2.Depth {
@@ -661,7 +662,7 @@ func TestRandomSystemsRichLTLCrossValidation(t *testing.T) {
 				t.Fatalf("trial %d: BMC found a counterexample but BDD says %v for %s\n%s",
 					trial, rb.Status, phi, rm.Trace.Full())
 			}
-			if err := ValidateTrace(sys, rm.Trace, true); err != nil {
+			if err := witness.Validate(sys, phi, rm.Trace); err != nil {
 				t.Fatalf("trial %d: BMC trace invalid: %v", trial, err)
 			}
 			agreeViolated++

@@ -953,6 +953,7 @@ func (s *Sym) traceTo(target bdd.Node) *trace.Trace {
 	for _, p := range s.sys.Params() {
 		t.Params[p.Name] = s.decodeVar(p, states[0])
 	}
+	showDefines := defineDisplay(s.sys)
 	for _, asn := range states {
 		st := trace.NewState()
 		env := expr.MapEnv{}
@@ -964,15 +965,7 @@ func (s *Sym) traceTo(target bdd.Node) *trace.Trace {
 		for _, p := range s.sys.Params() {
 			env[p] = t.Params[p.Name]
 		}
-		for _, name := range s.sys.DefineNames() {
-			def, _ := s.sys.DefineByName(name)
-			if expr.HasNext(def) {
-				continue
-			}
-			if v, err := expr.Eval(def, env, nil); err == nil {
-				st.Values[name] = v
-			}
-		}
+		showDefines(env, st)
 		t.States = append(t.States, st)
 	}
 	return t

@@ -5,6 +5,7 @@ import (
 
 	"verdict/internal/expr"
 	"verdict/internal/mc"
+	"verdict/internal/witness"
 )
 
 // TestIncidentHappensAtLowThreshold: with the abuse threshold at 1,
@@ -24,7 +25,7 @@ func TestIncidentHappensAtLowThreshold(t *testing.T) {
 		t.Fatalf("threshold 1: %v, want violated", r)
 	}
 	if r.Trace != nil {
-		if err := mc.ValidateTrace(m.Sys, r.Trace, true); err != nil {
+		if err := witness.Validate(m.Sys, m.Property, r.Trace); err != nil {
 			t.Fatalf("trace replay: %v", err)
 		}
 		// The final state must be rejecting with capacity 0, and the

@@ -3,7 +3,9 @@ package k8s
 import (
 	"testing"
 
+	"verdict/internal/ltl"
 	"verdict/internal/mc"
+	"verdict/internal/witness"
 )
 
 func TestTaintLoopOscillates(t *testing.T) {
@@ -24,7 +26,7 @@ func TestTaintLoopOscillates(t *testing.T) {
 	if rb.Status != mc.Violated || rb.Trace == nil || !rb.Trace.IsLasso() {
 		t.Fatalf("expected lasso counterexample, got %v", rb)
 	}
-	if err := mc.ValidateTrace(m.Sys, rb.Trace, true); err != nil {
+	if err := witness.Validate(m.Sys, m.Property, rb.Trace); err != nil {
 		t.Fatalf("trace replay: %v", err)
 	}
 }
@@ -74,7 +76,7 @@ func TestHPASurgeRunaway(t *testing.T) {
 	if v, _ := last.Get("desired"); v.I <= 2 {
 		t.Errorf("final desired = %v, want > 2", v)
 	}
-	if err := mc.ValidateTrace(m.Sys, r.Trace, true); err != nil {
+	if err := witness.Validate(m.Sys, ltl.G(ltl.Atom(m.Bound)), r.Trace); err != nil {
 		t.Fatalf("trace replay: %v", err)
 	}
 }

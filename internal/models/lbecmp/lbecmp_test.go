@@ -6,7 +6,22 @@ import (
 
 	"verdict/internal/expr"
 	"verdict/internal/mc"
+	"verdict/internal/trace"
+	"verdict/internal/witness"
 )
+
+// stableAt evaluates m.Stable in state i of tr, with the trace's
+// parameters bound.
+func stableAt(m *Model, tr *trace.Trace, i int) (bool, error) {
+	env := expr.MapEnv{}
+	for _, v := range m.Sys.Vars() {
+		env[v], _ = tr.States[i].Get(v.Name)
+	}
+	for _, p := range m.Sys.Params() {
+		env[p] = tr.Params[p.Name]
+	}
+	return expr.EvalBool(m.Stable, env, nil)
+}
 
 // TestOscillationFound reproduces the paper's second case study: the
 // model checker finds a lasso counterexample to F(G(stable)) together
@@ -26,13 +41,13 @@ func TestOscillationFound(t *testing.T) {
 	if r.Trace == nil || !r.Trace.IsLasso() {
 		t.Fatal("oscillation counterexample must be a lasso")
 	}
-	if err := mc.ValidateTrace(m.Sys, r.Trace, true); err != nil {
+	if err := witness.Validate(m.Sys, m.PropertyFG, r.Trace); err != nil {
 		t.Fatalf("trace replay failed: %v\n%s", err, r.Trace.Full())
 	}
 	// The loop must contain an unstable state.
 	unstable := false
 	for i := r.Trace.LoopStart; i < r.Trace.Len(); i++ {
-		ok, err := mc.EvalInState(m.Sys, r.Trace, i, m.Stable)
+		ok, err := stableAt(m, r.Trace, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +83,11 @@ func TestConditionalOscillation(t *testing.T) {
 	if r.Status != mc.Violated {
 		t.Fatalf("stable -> F(G(stable)): %v, want violated", r)
 	}
-	if err := mc.ValidateTrace(m.Sys, r.Trace, true); err != nil {
+	if err := witness.Validate(m.Sys, m.PropertyCond, r.Trace); err != nil {
 		t.Fatalf("trace replay failed: %v\n%s", err, r.Trace.Full())
 	}
 	// State 0 must be stable.
-	ok, err := mc.EvalInState(m.Sys, r.Trace, 0, m.Stable)
+	ok, err := stableAt(m, r.Trace, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +97,7 @@ func TestConditionalOscillation(t *testing.T) {
 	// Somewhere in the loop the system is unstable.
 	unstable := false
 	for i := r.Trace.LoopStart; i < r.Trace.Len(); i++ {
-		st, err := mc.EvalInState(m.Sys, r.Trace, i, m.Stable)
+		st, err := stableAt(m, r.Trace, i)
 		if err != nil {
 			t.Fatal(err)
 		}

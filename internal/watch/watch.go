@@ -70,7 +70,8 @@ type Outcome struct {
 type VerifyFunc func(ctx context.Context, p extract.Property) Outcome
 
 // Hooks receive session telemetry; nil funcs are skipped. They are
-// called without the session lock and must not block.
+// called without the session lock and must not block. A verify pass
+// calls its hooks before Wait returns for the batches it covers.
 type Hooks struct {
 	// Events observes ingested events (per event, not per batch).
 	Events func(n int)
@@ -545,7 +546,6 @@ func (s *Session) verifyPass(ctx context.Context) bool {
 		// drop out of the verified set.
 		s.props = next
 	}
-	s.verifiedSeq = target
 
 	// Latency + coalescing accounting: every pending batch at or below
 	// target is now answered; all but the last were superseded.
@@ -568,12 +568,10 @@ func (s *Session) verifyPass(ctx context.Context) bool {
 		coalesced = covered - 1
 		s.counters.Coalesced += uint64(coalesced)
 	}
-
-	s.persistLocked()
-	close(s.settled)
-	s.settled = make(chan struct{})
 	s.mu.Unlock()
 
+	// The hooks run before the pass is published, so a waiter released
+	// by it sees every metric of the batches it waited for.
 	h := s.cfg.Hooks
 	for i := 0; i < ran; i++ {
 		if h.Recheck != nil {
@@ -605,5 +603,15 @@ func (s *Session) verifyPass(ctx context.Context) bool {
 	if coalesced > 0 && h.Coalesced != nil {
 		h.Coalesced(coalesced)
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.verifiedSeq = target
+	s.persistLocked()
+	close(s.settled)
+	s.settled = make(chan struct{})
 	return true
 }

@@ -163,6 +163,30 @@ func TestIncidentEdgeTriggering(t *testing.T) {
 	}
 }
 
+// TestHooksRunBeforeWaitReturns: a caller released by Wait sees every
+// hook of the batches it waited for, however slow the hooks are, so
+// metrics read after a batch response match the session's ledger.
+func TestHooksRunBeforeWaitReturns(t *testing.T) {
+	var calls, reported, latencies atomic.Int64
+	s := New(Config{
+		ID:     "w1",
+		Verify: fakeVerify(&calls),
+		Hooks: Hooks{
+			Incident: func(incidents.Report) { time.Sleep(20 * time.Millisecond); reported.Add(1) },
+			Latency:  func(time.Duration) { time.Sleep(20 * time.Millisecond); latencies.Add(1) },
+		},
+	})
+	defer s.Close(false)
+
+	ingestWait(t, s, node("w2", 5), deployment("web", 2, 50), descheduler(45))
+	if got := reported.Load(); got != 1 {
+		t.Fatalf("incident hooks when Wait returned = %d, want 1", got)
+	}
+	if got := latencies.Load(); got != 1 {
+		t.Fatalf("latency hooks when Wait returned = %d, want 1", got)
+	}
+}
+
 // TestIncidentLogBounded: a configuration that flaps between holding
 // and violating raises an incident per flap; the lifetime counter keeps
 // the full count while the log itself stays capped at the most recent

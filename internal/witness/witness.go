@@ -125,9 +125,9 @@ func replay(sys *ts.System, t *trace.Trace, envs []expr.MapEnv) error {
 	if !ok {
 		return fmt.Errorf("witness: state 0 violates INIT")
 	}
-	invar := sys.InvarExpr()
+	invar := expr.Compile(sys.InvarExpr())
 	for i, env := range envs {
-		ok, err := expr.EvalBool(invar, env, nil)
+		ok, err := invar.EvalBool(env, nil)
 		if err != nil {
 			return fmt.Errorf("witness: evaluating INVAR at state %d: %w", i, err)
 		}
@@ -135,9 +135,9 @@ func replay(sys *ts.System, t *trace.Trace, envs []expr.MapEnv) error {
 			return fmt.Errorf("witness: state %d violates INVAR", i)
 		}
 	}
-	tr := sys.TransExpr()
+	tr := expr.Compile(sys.TransExpr())
 	for i := 0; i+1 < len(envs); i++ {
-		ok, err := expr.EvalBool(tr, envs[i], envs[i+1])
+		ok, err := tr.EvalBool(envs[i], envs[i+1])
 		if err != nil {
 			return fmt.Errorf("witness: evaluating TRANS at step %d: %w", i, err)
 		}
@@ -147,7 +147,7 @@ func replay(sys *ts.System, t *trace.Trace, envs []expr.MapEnv) error {
 	}
 	if t.IsLasso() {
 		last := len(envs) - 1
-		ok, err := expr.EvalBool(tr, envs[last], envs[t.LoopStart])
+		ok, err := tr.EvalBool(envs[last], envs[t.LoopStart])
 		if err != nil {
 			return fmt.Errorf("witness: evaluating loop-closing TRANS: %w", err)
 		}
@@ -186,8 +186,9 @@ func holds(f *ltl.Formula, envs []expr.MapEnv, loop int) (bool, error) {
 		row := make([]bool, n)
 		switch g.Kind {
 		case ltl.KindAtom:
+			atom := expr.Compile(g.Atom)
 			for i := range row {
-				b, err := expr.EvalBool(g.Atom, envs[i], nil)
+				b, err := atom.EvalBool(envs[i], nil)
 				if err != nil {
 					return false, err
 				}
@@ -375,12 +376,13 @@ func (b *budget) step() error {
 func checkInductive(sys *ts.System, c *Certificate, b *budget) error {
 	vars := sys.AllVars()
 	stateVars := sys.Vars()
-	invar, trans, init := sys.InvarExpr(), sys.TransExpr(), sys.InitExpr()
+	invar, trans, init := expr.Compile(sys.InvarExpr()), expr.Compile(sys.TransExpr()), expr.Compile(sys.InitExpr())
+	inv, prop := expr.Compile(c.Invariant), expr.Compile(c.Property)
 	return forAll(vars, expr.MapEnv{}, func(cur expr.MapEnv) error {
 		if err := b.step(); err != nil {
 			return err
 		}
-		invOK, err := evalIn(c.Invariant, cur, nil)
+		invOK, err := evalIn(inv, cur, nil)
 		if err != nil {
 			return err
 		}
@@ -402,7 +404,7 @@ func checkInductive(sys *ts.System, c *Certificate, b *budget) error {
 			return nil
 		}
 		// Condition 2: the invariant implies the property.
-		propOK, err := evalIn(c.Property, cur, nil)
+		propOK, err := evalIn(prop, cur, nil)
 		if err != nil {
 			return err
 		}
@@ -429,7 +431,7 @@ func checkInductive(sys *ts.System, c *Certificate, b *budget) error {
 			if !nInvarOK {
 				return nil
 			}
-			nInvOK, err := evalIn(c.Invariant, next, nil)
+			nInvOK, err := evalIn(inv, next, nil)
 			if err != nil {
 				return err
 			}
@@ -450,7 +452,8 @@ func checkInductive(sys *ts.System, c *Certificate, b *budget) error {
 func checkReachable(sys *ts.System, c *Certificate, b *budget) error {
 	vars := sys.AllVars()
 	stateVars := sys.Vars()
-	invar, trans, init := sys.InvarExpr(), sys.TransExpr(), sys.InitExpr()
+	invar, trans, init := expr.Compile(sys.InvarExpr()), expr.Compile(sys.TransExpr()), expr.Compile(sys.InitExpr())
+	prop := expr.Compile(c.Property)
 
 	type node struct{ env expr.MapEnv }
 	seen := make(map[string]bool)
@@ -461,7 +464,7 @@ func checkReachable(sys *ts.System, c *Certificate, b *budget) error {
 			return nil
 		}
 		seen[key] = true
-		ok, err := evalIn(c.Property, env, nil)
+		ok, err := evalIn(prop, env, nil)
 		if err != nil {
 			return err
 		}
@@ -574,12 +577,12 @@ func domainValues(t expr.Type) ([]expr.Value, error) {
 	return nil, fmt.Errorf("%w (infinite domain %s)", ErrUncheckable, t)
 }
 
-func evalIn(e *expr.Expr, cur, next expr.MapEnv) (bool, error) {
+func evalIn(p *expr.Program, cur, next expr.MapEnv) (bool, error) {
 	var n expr.Env
 	if next != nil {
 		n = next
 	}
-	return expr.EvalBool(e, cur, n)
+	return p.EvalBool(cur, n)
 }
 
 func cloneEnv(env expr.MapEnv) expr.MapEnv {

@@ -45,6 +45,7 @@ import (
 	"verdict/internal/smvlang"
 	"verdict/internal/trace"
 	"verdict/internal/ts"
+	"verdict/internal/witness"
 )
 
 // System is a parametric transition system under construction.
@@ -368,9 +369,10 @@ func AnalyzeBlastRadius(sys *System, event, metric *Expr, opts Options) (*BlastR
 }
 
 // ValidateTrace replays a counterexample against the system semantics
-// by direct evaluation — an engine-independent referee.
+// by direct evaluation — an engine-independent referee. It checks the
+// trace is an execution of sys, not which property it violates.
 func ValidateTrace(sys *System, t *Trace) error {
-	return mc.ValidateTrace(sys, t, true)
+	return witness.Validate(sys, nil, t)
 }
 
 // --- textual models ---
