@@ -36,10 +36,12 @@ package main
 // noise; totals are sums of those minima.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"verdict"
@@ -229,7 +231,11 @@ func runBaselineSweep(tolerance float64) (*baselineFile, error) {
 			if cell.abstractOnly && !mode.abstract {
 				continue
 			}
-			e, err := runBaselineCell(cell, mode)
+			var e baselineEntry
+			var err error
+			pprof.Do(context.Background(), pprof.Labels("cell", cell.name, "mode", mode.name), func(context.Context) {
+				e, err = runBaselineCell(cell, mode)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -255,8 +261,8 @@ func writeBaselineFile(path string, bf *baselineFile) error {
 }
 
 // runBaseline is the -baseline entry point; mode is "write" or
-// "compare".
-func runBaseline(mode, path string, tolerance float64) {
+// "compare". It reports false when a compare gate fails.
+func runBaseline(mode, path string, tolerance float64) bool {
 	switch mode {
 	case "write":
 		fmt.Printf("recording fig6 baseline (%d cells x %d modes, best of %d):\n",
@@ -338,7 +344,7 @@ func runBaseline(mode, path string, tolerance float64) {
 			for _, f := range failures {
 				log.Printf("FAIL: %s", f)
 			}
-			os.Exit(1)
+			return false
 		}
 		for _, mode := range baselineModes {
 			fmt.Printf("baseline holds: %-7s %v (committed %v)\n", mode.name,
@@ -348,4 +354,5 @@ func runBaseline(mode, path string, tolerance float64) {
 	default:
 		log.Fatalf("unknown -baseline mode %q (want write or compare)", mode)
 	}
+	return true
 }

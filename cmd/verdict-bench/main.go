@@ -55,6 +55,8 @@ func main() {
 		baseline = flag.String("baseline", "", "benchmark trajectory gate: 'write' records the reduced fig6 sweep (coop and racing portfolio) to -baseline-file, 'compare' re-runs it and exits 1 on verdict drift, total-time regression beyond -baseline-tolerance, or cooperative mode slower than racing")
 		baseFile = flag.String("baseline-file", "BENCH_fig6.json", "committed baseline path for -baseline")
 		baseTol  = flag.Float64("baseline-tolerance", 4.0, "total-time drift factor tolerated by -baseline compare (cross-machine gate; 0 = use the factor recorded in the baseline)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof; read it with `go tool pprof`)")
+		memProf  = flag.String("memprofile", "", "write an allocation profile, taken when the run ends, to this file")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -64,6 +66,15 @@ func main() {
 		fmt.Println(buildinfo.String("verdict-bench"))
 		return
 	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 
 	// Ctrl-C cancels the sweep: in-flight cells stop at their next
 	// cooperative poll, queued cells never start, and "all" stops
@@ -72,7 +83,12 @@ func main() {
 	defer cancel()
 
 	if *baseline != "" {
-		runBaseline(*baseline, *baseFile, *baseTol)
+		if !runBaseline(*baseline, *baseFile, *baseTol) {
+			if err := stopProfiles(); err != nil {
+				log.Print(err)
+			}
+			os.Exit(1)
+		}
 		return
 	}
 

@@ -96,6 +96,7 @@ type wireStats struct {
 	Restarts        int64    `json:"restarts,omitempty"`
 	BDDNodes        int      `json:"bdd_nodes,omitempty"`
 	DepthTimeNS     []int64  `json:"depth_time_ns,omitempty"`
+	Racers          []string `json:"racers,omitempty"`
 	EngineErrors    []string `json:"engine_errors,omitempty"`
 	WitnessFailures int64    `json:"witness_failures,omitempty"`
 	// Cooperation counters (portfolio cooperative mode).
@@ -113,6 +114,7 @@ func (st *Stats) MarshalJSON() ([]byte, error) {
 		Learnts:             st.Learnts,
 		Restarts:            st.Restarts,
 		BDDNodes:            st.BDDNodes,
+		Racers:              st.Racers,
 		EngineErrors:        st.EngineErrors,
 		WitnessFailures:     st.WitnessFailures,
 		BoundsShared:        st.BoundsShared,
@@ -138,6 +140,7 @@ func (st *Stats) UnmarshalJSON(data []byte) error {
 		Learnts:             w.Learnts,
 		Restarts:            w.Restarts,
 		BDDNodes:            w.BDDNodes,
+		Racers:              w.Racers,
 		EngineErrors:        w.EngineErrors,
 		WitnessFailures:     w.WitnessFailures,
 		BoundsShared:        w.BoundsShared,

@@ -51,6 +51,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 			Note: "lasso", Trace: tr,
 			Stats: &Stats{Conflicts: 10, Decisions: 20, Propagations: 30, Learnts: 5, Restarts: 1,
 				BDDNodes: 99, DepthTime: []time.Duration{time.Millisecond, 2 * time.Millisecond},
+				Racers:       []string{"bmc", "k-induction", "bdd(fallback)"},
 				EngineErrors: []string{"bdd: injected panic"}}},
 		{Status: Unknown, Note: "sat conflict budget exhausted (100 conflicts)"},
 	}
@@ -76,6 +77,32 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("round trip changed result:\n%+v\n---\n%+v\n(wire: %s)", a, b, data)
 		}
+	}
+}
+
+// Records stored before Stats.Racers existed still decode, and a
+// result without racers keeps the field off the wire.
+func TestStatsJSONRacersOptional(t *testing.T) {
+	var st Stats
+	if err := json.Unmarshal([]byte(`{"conflicts":3}`), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Conflicts != 3 || st.Racers != nil {
+		t.Errorf("decoded %+v from a record without racers", st)
+	}
+	data, err := json.Marshal(&Stats{Conflicts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "racers") {
+		t.Errorf("empty racers on the wire: %s", data)
+	}
+	data, err = json.Marshal(&Stats{Racers: []string{"bmc", "bdd(fallback)"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"racers":["bmc","bdd(fallback)"]`) {
+		t.Errorf("wire stats missing racers: %s", data)
 	}
 }
 

@@ -20,6 +20,23 @@ import (
 // stall) runs into this deadline.
 const stallGrace = 250 * time.Millisecond
 
+// bddRaceBits is the largest model, in current-state bits, on which
+// the BDD engine races an invariant check from the start. Above it BDD
+// is the race's fallback: on the Figure 6 fat-trees (37+ bits) it won
+// no cell yet slowed the SAT engine that did; on the small service
+// models (2–8 bits) it wins most races. DESIGN.md §6 has the evidence.
+const bddRaceBits = 32
+
+// stateBits counts the current-state bits of a finite system: the
+// bits the BDD engine allocates per state copy.
+func stateBits(sys *ts.System) int {
+	n := 0
+	for _, v := range sys.AllVars() {
+		n += widthOf(v.T)
+	}
+	return n
+}
+
 // Portfolio races the applicable engines on the same (system,
 // property) instance and returns the first conclusive Result,
 // cancelling the rest. No single engine dominates: BMC refutes fast
@@ -36,7 +53,16 @@ const stallGrace = 250 * time.Millisecond
 //   - k-induction — finite systems with a safety-invariant property
 //     G(p); concludes both ways.
 //   - BDD — finite systems (reachability for invariants, the tableau
-//     fair-cycle product for general LTL); concludes both ways.
+//     fair-cycle product for general LTL); concludes both ways. On an
+//     invariant over more than bddRaceBits state bits it does not
+//     race: it is the fallback, started the moment a racer ends
+//     without an accepted verdict (Unknown, error or panic, or a
+//     rejected witness) while the race is live, and bounded by what is
+//     left of the race's wall-clock limit. BMC and k-induction give up
+//     at MaxDepth; the fallback keeps "decides everything eventually".
+//
+// Stats.Racers on the returned Result lists the engines started, in
+// start order, with a fallback start marked "bdd(fallback)".
 //
 // Every engine runs in its own goroutine with its own solver state
 // over a shared child of opts.Context; the winner's cancel signal
@@ -67,8 +93,8 @@ const stallGrace = 250 * time.Millisecond
 //
 // The winning Result keeps the deciding engine's stats and depth and
 // gets "portfolio/" prefixed to its engine name. If no engine
-// concludes, the deepest Unknown is returned; an error comes back only
-// when every engine failed.
+// concludes, the fallback's Unknown is returned when it ran, else the
+// deepest Unknown; an error comes back only when every engine failed.
 func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -92,74 +118,110 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 
 	type run struct {
 		name string
-		fn   func() (*Result, error)
+		fn   func(Options) (*Result, error)
 	}
-	runs := []run{{"bmc", func() (*Result, error) { return BMC(sys, phi, inner) }}}
+	runs := []run{{"bmc", func(o Options) (*Result, error) { return BMC(sys, phi, o) }}}
+	var fallback *run
 	if sys.Finite() {
-		if p, ok := ltl.IsSafetyInvariant(phi); ok {
-			runs = append(runs, run{"k-induction", func() (*Result, error) {
-				return KInduction(sys, p, inner)
+		p, inv := ltl.IsSafetyInvariant(phi)
+		if inv {
+			runs = append(runs, run{"k-induction", func(o Options) (*Result, error) {
+				return KInduction(sys, p, o)
 			}})
 		}
-		runs = append(runs, run{"bdd", func() (*Result, error) {
-			sym, err := NewSym(sys, inner)
+		bdd := run{"bdd", func(o Options) (*Result, error) {
+			sym, err := NewSym(sys, o)
 			if err == ErrTimeout {
-				return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: inner.stopNote()}, nil
+				return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: o.stopNote()}, nil
 			}
 			if err == ErrBudget {
 				return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start),
-					Note: fmt.Sprintf("bdd node budget exhausted (%d nodes)", inner.Budget.BDDNodes)}, nil
+					Note: fmt.Sprintf("bdd node budget exhausted (%d nodes)", o.Budget.BDDNodes)}, nil
 			}
 			if err != nil {
 				return nil, err
 			}
 			return sym.CheckLTL(phi)
-		}})
+		}}
+		// On a large invariant check BDD rarely wins the race yet takes
+		// CPU and memory from the SAT engine that does, so it waits as a
+		// fallback until a racer gives up (see bddRaceBits).
+		if inv && stateBits(sys) > bddRaceBits {
+			fallback = &bdd
+		} else {
+			runs = append(runs, bdd)
+		}
 	}
 
 	type outcome struct {
-		name string
-		res  *Result
-		err  error
+		name     string
+		fallback bool
+		res      *Result
+		err      error
 	}
-	// Buffered so losers finishing after we return never block.
-	ch := make(chan outcome, len(runs))
-	for _, r := range runs {
-		r := r
+	// One slot per engine that can start, the fallback included, so
+	// losers finishing after we return never block.
+	ch := make(chan outcome, len(runs)+1)
+	var (
+		racers      []string
+		pending     int
+		outstanding = make(map[string]bool, len(runs)+1)
+	)
+	launch := func(r run, o Options, fallback bool) {
+		label := r.name
+		if fallback {
+			label += "(fallback)"
+		}
+		racers = append(racers, label)
+		pending++
+		outstanding[r.name] = true
 		go func() {
-			o := outcome{name: r.name}
+			out := outcome{name: r.name, fallback: fallback}
 			defer func() {
 				if p := recover(); p != nil {
 					// A panicking engine must not take the race (or the
 					// caller's goroutine) down: capture it as a
 					// structured failure; the survivors keep racing.
-					o.res, o.err = nil, resilience.NewEngineError(r.name, p)
+					out.res, out.err = nil, resilience.NewEngineError(r.name, p)
 				}
-				ch <- o
+				ch <- out
 			}()
 			resilience.At(ctx, "portfolio/"+r.name)
-			o.res, o.err = r.fn()
+			out.res, out.err = r.fn(o)
 			// Test-only integrity fault: emit a deliberately damaged
 			// counterexample so the witness validator's rejection path is
 			// exercised end to end.
-			if o.err == nil && o.res != nil && o.res.Trace != nil &&
+			if out.err == nil && out.res != nil && out.res.Trace != nil &&
 				resilience.At(ctx, "portfolio/"+r.name+"/emit") == resilience.FaultCorrupt {
-				o.res.Trace = corruptTrace(o.res.Trace)
+				out.res.Trace = corruptTrace(out.res.Trace)
 			}
 		}()
+	}
+	for _, r := range runs {
+		launch(r, inner, false)
+	}
+	// startFallback runs once a racer ends without an accepted verdict,
+	// while the race is live. A late start must not extend the race, so
+	// the fallback gets what is left of the wall-clock limit.
+	startFallback := func() {
+		if fallback == nil || ctx.Err() != nil {
+			return
+		}
+		o, ok := inner.remaining(start)
+		if !ok {
+			return
+		}
+		launch(*fallback, o, true)
+		fallback = nil
 	}
 
 	var (
 		best         *Result
+		lastResort   *Result
 		failures     []string
 		firstErr     error
-		pending      = len(runs)
-		outstanding  = make(map[string]bool, len(runs))
 		witnessFails int64
 	)
-	for _, r := range runs {
-		outstanding[r.name] = true
-	}
 	fail := func(name string, err error) {
 		failures = append(failures, name+": "+err.Error())
 		if firstErr == nil {
@@ -180,21 +242,19 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 		pending = 0
 	}
 	attach := func(r *Result) *Result {
+		if r.Stats == nil {
+			r.Stats = &Stats{}
+		}
+		r.Stats.Racers = racers
 		if bus != nil {
 			// Race-wide cooperation totals. The losers' goroutines may
 			// still be draining toward their next cancellation poll, so
 			// the counters can tick briefly after this snapshot; the
 			// snapshot itself is atomic loads — race-clean by
 			// construction, checked by the -race stress test.
-			if r.Stats == nil {
-				r.Stats = &Stats{}
-			}
 			bus.fold(r.Stats)
 		}
 		if len(failures) > 0 || witnessFails > 0 {
-			if r.Stats == nil {
-				r.Stats = &Stats{}
-			}
 			r.Stats.EngineErrors = append(r.Stats.EngineErrors, failures...)
 			r.Stats.WitnessFailures += witnessFails
 		}
@@ -244,17 +304,21 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 					if werr := ApplyWitness(sys, phi, o.res); werr != nil {
 						witnessFails++
 						failures = append(failures, o.name+": witness validation failed: "+werr.Error())
+						startFallback()
 						continue
 					}
 				}
 				return finish(o.res), nil
 			}
 			take(o)
-			if o.err == nil {
-				if best == nil || o.res.Depth > best.Depth {
-					best = o.res
-				}
+			switch {
+			case o.err != nil:
+			case o.fallback:
+				lastResort = o.res
+			case best == nil || o.res.Depth > best.Depth:
+				best = o.res
 			}
+			startFallback()
 		case <-parentDone:
 			// The caller gave up: engines wind down cooperatively, but
 			// only wait one grace period for them (a hung engine never
@@ -267,6 +331,12 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 			writeOffStalled()
 		}
 	}
+	// The fallback decides everything given time, so when it gives up
+	// its reason (timeout, budget, cancellation) is the race's;
+	// otherwise the deepest Unknown is the most informative.
+	if lastResort != nil {
+		best = lastResort
+	}
 	if best != nil {
 		return attach(best), nil
 	}
@@ -276,18 +346,15 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 		// display rather than reporting an unvalidated verdict.
 		return &Result{Status: Unknown, Engine: "portfolio", Elapsed: time.Since(start),
 			Note:  "all conclusive verdicts failed witness validation",
-			Stats: &Stats{EngineErrors: failures, WitnessFailures: witnessFails}}, nil
+			Stats: &Stats{Racers: racers, EngineErrors: failures, WitnessFailures: witnessFails}}, nil
 	}
-	if len(outstanding) == len(runs) || firstErr == nil {
+	if len(outstanding) == len(racers) || firstErr == nil {
 		// No engine produced a usable result (all stalled, or the
 		// parent died before any outcome): degrade to Unknown rather
 		// than failing the caller — the race ran out of road, not the
 		// model.
-		r := &Result{Status: Unknown, Engine: "portfolio", Elapsed: time.Since(start), Note: opts.stopNote()}
-		if len(failures) > 0 {
-			r.Stats = &Stats{EngineErrors: failures, WitnessFailures: witnessFails}
-		}
-		return r, nil
+		return &Result{Status: Unknown, Engine: "portfolio", Elapsed: time.Since(start), Note: opts.stopNote(),
+			Stats: &Stats{Racers: racers, EngineErrors: failures, WitnessFailures: witnessFails}}, nil
 	}
 	return nil, firstErr
 }

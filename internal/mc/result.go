@@ -87,6 +87,10 @@ type Stats struct {
 	// DepthTime records the wall time the engine spent at each unroll
 	// (BMC) or induction (k-induction) depth, index = depth.
 	DepthTime []time.Duration
+	// Racers lists the engines a portfolio started, in start order; a
+	// fallback start is marked, as in "bdd(fallback)". Empty on
+	// single-engine checks.
+	Racers []string
 	// EngineErrors lists portfolio engines that died (panicked or
 	// errored) while the race continued with the survivors; each entry
 	// is "engine: cause". Empty on single-engine checks.
@@ -130,6 +134,9 @@ func (st *Stats) String() string {
 		return ""
 	}
 	var parts []string
+	if len(st.Racers) > 0 {
+		parts = append(parts, "racers: "+strings.Join(st.Racers, " "))
+	}
 	if st.Conflicts != 0 || st.Decisions != 0 || st.Propagations != 0 {
 		parts = append(parts, fmt.Sprintf("sat: %d conflicts, %d decisions, %d propagations, %d learnts, %d restarts",
 			st.Conflicts, st.Decisions, st.Propagations, st.Learnts, st.Restarts))
@@ -343,6 +350,23 @@ func (o Options) timeLimit() time.Duration {
 		t = o.Budget.Time
 	}
 	return t
+}
+
+// remaining returns o with its wall-clock limit cut to what is left of
+// it since start, so an engine started late keeps the caller's
+// deadline instead of getting a fresh one. ok is false once that
+// deadline has passed.
+func (o Options) remaining(start time.Time) (_ Options, ok bool) {
+	t := o.timeLimit()
+	if t <= 0 {
+		return o, true
+	}
+	left := t - time.Since(start)
+	if left <= 0 {
+		return o, false
+	}
+	o.Timeout, o.Budget.Time = left, 0
+	return o, true
 }
 
 // interrupt returns the cooperative-cancellation poll installed into
