@@ -25,14 +25,13 @@ loc:
 	done; printf '%6d  total\n' "$$total"
 
 # Regenerate the committed benchmark trajectory (BENCH_fig6.json):
-# the reduced fig6 sweep through the portfolio in coop, racing, and
-# legacy modes. Run this deliberately — on a quiet machine — when a
+# the reduced fig6 sweep through the portfolio and through the
+# symmetry-quotient abstraction. Run this deliberately — on a quiet machine — when a
 # change intentionally moves the numbers, and commit the result.
 bench-baseline:
 	$(GO) run ./cmd/verdict-bench -baseline write -baseline-file BENCH_fig6.json
 
 # The gate CI runs: re-measure and compare against the committed
-# baseline (exit 1 on verdict drift, >4x total-time regression, coop
-# slower than racing, or coop no faster than legacy).
+# baseline (exit 1 on verdict drift or >4x total-time regression).
 bench-baseline-check:
 	$(GO) run ./cmd/verdict-bench -baseline compare -baseline-file BENCH_fig6.json

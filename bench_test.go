@@ -322,33 +322,6 @@ func BenchmarkAblationSynthesis(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIncremental compares per-depth solver rebuild (the
-// default) against incremental solver reuse across depths on the
-// Figure 5 violation search. Incremental wins here (~3x: co-safety
-// searches add no loop-witness encodings, so the carried-over clauses
-// are all useful) but loses on liveness lasso searches where stale
-// per-depth witness gates accumulate — hence opt-in rather than
-// default.
-func BenchmarkAblationIncremental(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		inc  bool
-	}{{"rebuild", false}, {"incremental", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := rollout.Build(rollout.Config{Topo: topo.Test(), P: 1, K: 2, M: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := mc.BMC(m.Sys, m.Property, mc.Options{MaxDepth: 10, IncrementalBMC: mode.inc})
-				if err != nil || r.Status != mc.Violated {
-					b.Fatalf("%v %v", r, err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPortfolio races BMC, k-induction and the BDD engine on the
 // Figure 5 violation instance against BMC alone. On a multi-core host
 // the portfolio should cost about the same wall-clock as the fastest

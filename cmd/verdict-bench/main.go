@@ -11,8 +11,9 @@
 //
 // Beyond the experiments, -baseline write/compare maintains the
 // committed benchmark trajectory (BENCH_fig6.json): a reduced fig6
-// subset through the portfolio with cooperation on and off, gated in
-// CI against verdict drift and time regressions (see baseline.go).
+// subset through the portfolio and the symmetry-quotient abstraction,
+// gated in CI against verdict drift and time regressions (see
+// baseline.go).
 //
 // Absolute runtimes differ from the paper's NuXMV-on-a-MacBook setup;
 // the shapes (violation ≪ verification, exponential growth in topology
@@ -51,8 +52,7 @@ func main() {
 		resume   = flag.Bool("resume", false, "fig6: skip cells already recorded in the -checkpoint file, replaying their stored rows")
 		validate = flag.Bool("validate", false, "independently validate every counterexample and proof certificate (fig5, lbecmp, fig6); witness status joins the output, overhead joins the timings")
 		abstr    = flag.Bool("abstract", false, "fig6: verify every cell over the symmetry quotient with CEGAR refinement instead of the concrete state space — extends the sweep far past fattree12 (try -abstract -max-fattree 16); violations are concretized and certified by replay")
-		rebuild  = flag.Bool("rebuild-bmc", false, "force per-depth re-encoding in BMC instead of incremental solver reuse (reproduces the pre-incremental timings; for A/B measurement only)")
-		baseline = flag.String("baseline", "", "benchmark trajectory gate: 'write' records the reduced fig6 sweep (coop and racing portfolio) to -baseline-file, 'compare' re-runs it and exits 1 on verdict drift, total-time regression beyond -baseline-tolerance, or cooperative mode slower than racing")
+		baseline = flag.String("baseline", "", "benchmark trajectory gate: 'write' records the reduced fig6 sweep (concrete portfolio and abstract) to -baseline-file, 'compare' re-runs it and exits 1 on verdict drift or total-time regression beyond -baseline-tolerance")
 		baseFile = flag.String("baseline-file", "BENCH_fig6.json", "committed baseline path for -baseline")
 		baseTol  = flag.Float64("baseline-tolerance", 4.0, "total-time drift factor tolerated by -baseline compare (cross-machine gate; 0 = use the factor recorded in the baseline)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof; read it with `go tool pprof`)")
@@ -61,7 +61,6 @@ func main() {
 	)
 	flag.Parse()
 	validateWitness = *validate
-	rebuildBMC = *rebuild
 	if *version {
 		fmt.Println(buildinfo.String("verdict-bench"))
 		return
@@ -119,12 +118,8 @@ func main() {
 }
 
 // validateWitness mirrors -validate for the experiments that produce
-// verdicts with evidence; rebuildBMC mirrors -rebuild-bmc for A/B
-// measurement of the incremental blast layer.
-var (
-	validateWitness bool
-	rebuildBMC      bool
-)
+// verdicts with evidence.
+var validateWitness bool
 
 func banner(name string) {
 	fmt.Printf("\n===== %s =====\n", name)
@@ -309,7 +304,7 @@ func fig6(ctx context.Context, budget time.Duration, maxFatTree int, engine stri
 			}
 			return nil
 		}
-		opts := verdict.Options{Timeout: budget, Context: ctx, ValidateWitness: validateWitness, RebuildBMC: rebuildBMC}
+		opts := verdict.Options{Timeout: budget, Context: ctx, ValidateWitness: validateWitness}
 		if abstract {
 			kk := c.kViol
 			if slot > 0 {

@@ -128,7 +128,6 @@ func main() {
 		stats     = flag.Bool("stats", false, "print per-engine statistics (SAT conflicts/decisions/propagations, BDD nodes, time per depth)")
 		workers   = flag.Int("workers", 0, "worker goroutines for parameter synthesis (0 = NumCPU, 1 = serial)")
 		portfolio = flag.Bool("portfolio", false, "race BMC, k-induction and the BDD engine; first conclusive answer wins")
-		noCoop    = flag.Bool("no-coop", false, "with -portfolio: pure race, engines share no facts (by default they exchange proven depth bounds and reach invariants over the cooperation bus)")
 		synthEng  = flag.String("synth-engine", "bdd", "parameter-synthesis engine: bdd (set projection) or enum (checks every valuation separately, parallel over -workers)")
 		satBudget = flag.Int64("sat-budget", 0, "CDCL conflict budget per solver; exhaustion degrades the verdict to unknown (0 = unlimited)")
 		bddBudget = flag.Int("bdd-budget", 0, "BDD arena node budget; exhaustion degrades the verdict to unknown (0 = unlimited)")
@@ -167,8 +166,8 @@ func main() {
 		retryPolicy = verdict.RetryPolicy{Attempts: *retries, Factor: 4}
 	}
 	opts := verdict.Options{MaxDepth: *depth, Timeout: *timeout, Workers: *workers,
-		ValidateWitness: *validate, NoCooperation: *noCoop,
-		Budget: verdict.Budget{SATConflicts: *satBudget, BDDNodes: *bddBudget}}
+		ValidateWitness: *validate,
+		Budget:          verdict.Budget{SATConflicts: *satBudget, BDDNodes: *bddBudget}}
 	if retryPolicy.Attempts > 0 {
 		// Under a retry ladder the wall clock is a per-attempt budget to
 		// escalate, not a fixed cap, so it moves into the Budget.

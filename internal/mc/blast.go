@@ -48,10 +48,6 @@ type unroller struct {
 	realState    []*expr.Var
 	realParams   []*expr.Var
 
-	// sticky predicates are asserted at every frame, current and
-	// future — the carrier for invariants handed off over the
-	// cooperation bus (see unroller.assertSticky).
-	sticky []*expr.Expr
 	// reuses counts extend calls: each one reuses the retained solver
 	// state (clause database, learnt clauses, activities) for the next
 	// depth instead of re-blasting. Folded into Stats.IncrementalReuses.
@@ -80,7 +76,6 @@ func newUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unrolle
 		u.enc = cnfEncoder(u.sats, opts)
 	} else {
 		u.ctx = smt.NewContext()
-		u.ctx.BlockFullAssignment = opts.BlockFullAssignment
 		u.sats = u.ctx.Sat
 		u.enc = u.ctx.Enc
 		u.enc.NoSeqCounter = opts.NoSeqCounter
@@ -146,21 +141,18 @@ func newStepUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unr
 }
 
 // extend grows the unrolling by one frame: domain constraints come
-// with the fresh frame, INVAR, any sticky predicates, and the
-// transition from the previous frame are asserted, and the bounded-LTL
-// encoder is rebuilt over the longer path (its encodings depend on the
-// bound; the underlying gate and atom definitions in the solver are
-// shared and remain valid). The solver itself — clause database,
-// learnt clauses, activities, saved phases — carries over untouched;
-// that carry-over is what Stats.IncrementalReuses counts.
+// with the fresh frame, INVAR and the transition from the previous
+// frame are asserted, and the bounded-LTL encoder is rebuilt over the
+// longer path (its encodings depend on the bound; the underlying gate
+// and atom definitions in the solver are shared and remain valid).
+// The solver itself — clause database, learnt clauses, activities,
+// saved phases — carries over untouched; that carry-over is what
+// Stats.IncrementalReuses counts.
 func (u *unroller) extend() error {
 	k := len(u.frames)
 	f := u.enc.NewFrame(u.finiteState)
 	u.frames = append(u.frames, f)
 	u.enc.Assert(u.sys.InvarExpr(), f, nil)
-	for _, e := range u.sticky {
-		u.enc.Assert(e, f, nil)
-	}
 	u.enc.Assert(u.sys.TransExpr(), u.frames[k-1], f)
 	u.benc = ltl.NewBoundedEncoder(u.enc, u.frames)
 	u.reuses++
@@ -168,19 +160,6 @@ func (u *unroller) extend() error {
 		u.coop.noteReuse()
 	}
 	return nil
-}
-
-// assertSticky asserts a state predicate at every existing frame and
-// arranges for every future frame to get it too. Soundness is the
-// caller's burden: the predicate must hold of every state the query
-// is meant to range over (for the induction step, an inductive
-// invariant of the system — every reachable state satisfies it, and a
-// minimal counterexample path visits only reachable states).
-func (u *unroller) assertSticky(e *expr.Expr) {
-	u.sticky = append(u.sticky, e)
-	for _, f := range u.frames {
-		u.enc.Assert(e, f, nil)
-	}
 }
 
 // loopLit returns the literal closing the lasso: a transition from

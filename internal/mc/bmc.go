@@ -20,11 +20,12 @@ import (
 // For pure co-safety negations (every witness is a finite prefix —
 // notably safety invariants G(p)) the unrolling is incremental: depth
 // k+1 extends depth k's solver through the blast layer, reusing its
-// clause database and heuristics (Options.IncrementalBMC extends this
-// to lasso searches too). Under the portfolio's cooperation bus, BMC
-// additionally publishes "no counterexample below k" bounds after each
-// clean depth and skips depths another engine has already proven
-// clean.
+// clause database and heuristics. Lasso searches rebuild the
+// unrolling per depth instead: each depth's loop-witness encodings
+// would pile up as stale gates that burden later depths. Under the
+// portfolio's cooperation bus, BMC additionally publishes "no
+// counterexample below k" bounds after each clean depth and skips
+// depths another engine has already proven clean.
 func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error) {
 	// The CNF encoder reports unsupported input (e.g. var*var
 	// multiplication in TRANS) by panicking with a typed CompileError;
@@ -39,7 +40,7 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 	if !sys.Finite() {
 		engine = "smt-bmc"
 	}
-	incremental := opts.incrementalBMC(neg)
+	incremental := coSafety(neg)
 	// Depth bounds are exchangeable over the bus only for safety
 	// invariants, where BMC's depth-k queries and k-induction's base
 	// cases cover exactly the same witnesses (an init path ending in a

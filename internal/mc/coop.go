@@ -2,59 +2,37 @@ package mc
 
 // The cooperation bus turns the portfolio's race into a relay. The
 // engines remain independent goroutines with independent solvers, but
-// they share two monotone facts through the bus, each of which is a
-// theorem the publisher has already proved:
+// they share one monotone fact through the bus, a theorem the
+// publisher has already proved: a depth bound — "no counterexample to
+// G(p) exists at any unroll depth below B". BMC publishes B after
+// finishing depth B-1 with every query UNSAT, and k-induction publishes
+// it after its base case at depth B-1 came back UNSAT (for a safety
+// invariant the two query families cover exactly the same witnesses:
+// an init path ending in a ¬p state). Each consumes the other's bound
+// to skip depths already proven clean.
 //
-//   - depth bounds — "no counterexample to G(p) exists at any unroll
-//     depth below B". BMC publishes B after finishing depth B-1 with
-//     every query UNSAT, and k-induction publishes it after its base
-//     case at depth B-1 came back UNSAT (for a safety invariant the two
-//     query families cover exactly the same witnesses: an init path
-//     ending in a ¬p state). Each consumes the other's bound to skip
-//     depths already proven clean.
-//
-//   - a reachable-set invariant — the moment the BDD engine's
-//     reachability fixpoint converges, the reach set (rendered back as
-//     a state predicate) is published. It is an inductive invariant by
-//     construction: it contains INIT and is closed under TRANS inside
-//     INVAR. k-induction installs it as a strengthening hypothesis at
-//     every step-case frame, which is sound because a minimal
-//     counterexample path visits only reachable states — and decisive,
-//     because if the property holds the strengthened step case is
-//     immediately UNSAT while the BDD engine is still reconstructing
-//     its evidence.
-//
-// Sharing facts never flips a verdict (each is sound on its own), so
-// cooperative mode and racing mode must agree — the conformance sweep
-// in internal/witness enforces exactly that. All bus state is guarded
-// for concurrent use: counters are atomics, and published facts sit
-// behind a mutex; everything crossing the bus (*expr.Expr trees) is
-// immutable.
+// Sharing a theorem never flips a verdict, so the portfolio returns
+// what its engines return in isolation — the conformance sweep in
+// internal/witness checks the portfolio against isolated BMC, BDD and
+// CheckLTL on every instance. All bus state is guarded for concurrent
+// use: counters are atomics, and the bound sits behind a mutex.
 
 import (
 	"sync"
 	"sync/atomic"
-
-	"verdict/internal/expr"
 )
 
-// coopBus is the shared state. The portfolio creates one per race
-// (unless Options.NoCooperation) and threads it to the engines via the
-// unexported Options.coop field; engines treat a nil bus as "racing
-// mode" everywhere.
+// coopBus is the shared state. The portfolio creates one per race and
+// threads it to the engines via the unexported Options.coop field;
+// engines treat a nil bus (single-engine checks) as sharing nothing.
 type coopBus struct {
 	// Counters mirrored into the winner's Stats when the race settles.
-	boundsShared        atomic.Int64
-	invariantsHandedOff atomic.Int64
-	incrementalReuses   atomic.Int64
+	boundsShared      atomic.Int64
+	incrementalReuses atomic.Int64
 
 	mu sync.Mutex
 	// noCEBelow: no counterexample exists at any unroll depth < this.
 	noCEBelow int
-	// inv is the first published inductive invariant (nil until a
-	// publisher converges); invDepth is its BFS diameter.
-	inv      *expr.Expr
-	invDepth int
 }
 
 func newCoopBus() *coopBus { return &coopBus{} }
@@ -88,40 +66,6 @@ func (b *coopBus) bound() int {
 	return b.noCEBelow
 }
 
-// publishInvariant offers an inductive invariant (INIT ⊆ inv, inv
-// closed under TRANS within INVAR). The first publication wins;
-// later ones are dropped — one strengthening hypothesis is all the
-// consumers install.
-func (b *coopBus) publishInvariant(inv *expr.Expr, depth int) {
-	if b == nil || inv == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.inv == nil {
-		b.inv = inv
-		b.invDepth = depth
-	}
-}
-
-// invariant returns the published invariant, if any. The caller counts
-// the handoff (noteHandoff) only when it actually installs it.
-func (b *coopBus) invariant() (*expr.Expr, int, bool) {
-	if b == nil {
-		return nil, 0, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inv, b.invDepth, b.inv != nil
-}
-
-// noteHandoff counts a consumer installing the published invariant.
-func (b *coopBus) noteHandoff() {
-	if b != nil {
-		b.invariantsHandedOff.Add(1)
-	}
-}
-
 // noteReuse counts one incremental solver reuse (an unroller extending
 // in place instead of re-blasting).
 func (b *coopBus) noteReuse() {
@@ -135,10 +79,6 @@ func (b *coopBus) noteReuse() {
 // portfolio-wide totals across all engines, so they overwrite whatever
 // the winning engine recorded for itself.
 func (b *coopBus) fold(st *Stats) {
-	if b == nil || st == nil {
-		return
-	}
 	st.BoundsShared = b.boundsShared.Load()
-	st.InvariantsHandedOff = b.invariantsHandedOff.Load()
 	st.IncrementalReuses = b.incrementalReuses.Load()
 }

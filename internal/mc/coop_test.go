@@ -15,25 +15,20 @@ import (
 	"verdict/internal/witness"
 )
 
-// evenSystem is the handoff workhorse: x steps through the even
+// evenSystem is the cooperation workhorse: x steps through the even
 // residues 0→2→4→6→0, so reach = {0,2,4,6}, while the odd residues
 // form an unreachable cycle 1→3→5→7→1. The property G(x ≠ 1) holds
 // but is only 3-inductive (the unreachable odd chain 3→5→7→1 is a
-// simple path of p-states into ¬p), whereas with the reach set as a
-// strengthening invariant it is 0-inductive.
-func evenSystem() (*ts.System, *expr.Expr, *expr.Expr) {
+// simple path of p-states into ¬p), so k-induction and BMC both work
+// through several depths and have bounds to exchange.
+func evenSystem() (*ts.System, *expr.Expr) {
 	sys := ts.New("even")
 	x := sys.Int("x", 0, 7)
 	sys.Init(x, expr.IntConst(0))
 	sys.Assign(x, expr.Ite(expr.Eq(x.Ref(), expr.IntConst(6)), expr.IntConst(0),
 		expr.Ite(expr.Eq(x.Ref(), expr.IntConst(7)), expr.IntConst(1),
 			expr.Add(x.Ref(), expr.IntConst(2)))))
-	p := expr.Ne(x.Ref(), expr.IntConst(1))
-	var evens []*expr.Expr
-	for _, v := range []int64{0, 2, 4, 6} {
-		evens = append(evens, expr.Eq(x.Ref(), expr.IntConst(v)))
-	}
-	return sys, p, expr.Or(evens...)
+	return sys, expr.Ne(x.Ref(), expr.IntConst(1))
 }
 
 // TestCoopBoundSharing drives the bound half of the bus
@@ -92,56 +87,13 @@ func TestCoopBoundSharing(t *testing.T) {
 	}
 }
 
-// TestInvariantHandoffStrengthens drives the invariant half of the
-// bus deterministically: a reach-set invariant on the bus turns a
-// 3-inductive property into a 0-inductive one, and the strengthened
-// proof's certificate still checks independently.
-func TestInvariantHandoffStrengthens(t *testing.T) {
-	sys, p, inv := evenSystem()
-
-	plain, err := KInduction(sys, p, Options{MaxDepth: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Status != Holds || plain.Depth != 3 {
-		t.Fatalf("plain k-induction = %v at depth %d, want holds at 3", plain.Status, plain.Depth)
-	}
-
-	bus := newCoopBus()
-	bus.publishInvariant(inv, 4)
-	opts := Options{MaxDepth: 10}
-	opts.coop = bus
-	r, err := KInduction(sys, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != Holds || r.Depth != 0 {
-		t.Fatalf("strengthened k-induction = %v at depth %d, want holds at 0", r.Status, r.Depth)
-	}
-	if got := bus.invariantsHandedOff.Load(); got != 1 {
-		t.Errorf("invariantsHandedOff = %d, want 1", got)
-	}
-	if r.Cert == nil || r.Cert.Invariant == nil {
-		t.Fatal("strengthened proof carries no inductive certificate")
-	}
-	// The certificate must be checkable on its own: inv∧p is inductive
-	// even though p alone is not.
-	if err := witness.ValidateCertificate(sys, r.Cert, 0); err != nil {
-		t.Fatalf("strengthened certificate rejected: %v", err)
-	}
-	if !strings.Contains(r.Note, "strengthened") {
-		t.Errorf("note %q does not mention strengthening", r.Note)
-	}
-}
-
 // TestCoopBusStress hammers every bus operation from three goroutines
 // (the engine count of a finite-system race); run under -race this is
 // the race-safety audit for the cooperation counters. The final state
-// is still deterministic: bounds are monotone, reuse counts are exact,
-// and the first published invariant wins.
+// is still deterministic: bounds are monotone and reuse counts are
+// exact.
 func TestCoopBusStress(t *testing.T) {
 	bus := newCoopBus()
-	inv := expr.True()
 	const iters = 2000
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -153,14 +105,6 @@ func TestCoopBusStress(t *testing.T) {
 				bus.publishBound(g*iters + i)
 				_ = bus.bound()
 				bus.noteReuse()
-				if i%97 == 0 {
-					bus.publishInvariant(inv, i)
-					bus.noteHandoff()
-				}
-				if got, _, ok := bus.invariant(); ok && got != inv {
-					t.Errorf("invariant changed after first publication")
-					return
-				}
 			}
 		}()
 	}
@@ -184,10 +128,10 @@ func TestCoopBusStress(t *testing.T) {
 // TestCoopThreeEnginesConcurrent runs the real engines — BMC,
 // k-induction, and the BDD reachability engine — concurrently over one
 // shared bus, the exact topology the portfolio creates. Verdicts must
-// come out right under every interleaving of bound publications and
-// the invariant handoff (and -race must stay quiet).
+// come out right under every interleaving of bound publications (and
+// -race must stay quiet).
 func TestCoopThreeEnginesConcurrent(t *testing.T) {
-	sys, p, _ := evenSystem()
+	sys, p := evenSystem()
 	phi := ltl.G(ltl.Atom(p))
 	bus := newCoopBus()
 	opts := Options{MaxDepth: 12, Timeout: 30 * time.Second}
@@ -230,25 +174,19 @@ func TestCoopThreeEnginesConcurrent(t *testing.T) {
 	if results[2].Status != Holds {
 		t.Errorf("bdd = %v, want holds", results[2].Status)
 	}
-	// Whatever the interleaving, k-induction proves at its plain depth
-	// (3) or, after a handoff won the race, at 0 — never anything else,
-	// and its certificate must check either way.
-	if d := results[1].Depth; d != 0 && d != 3 {
-		t.Errorf("k-induction depth = %d, want 0 (handoff) or 3 (plain)", d)
-	}
-	if results[1].Cert != nil && results[1].Depth == 0 {
-		if err := witness.ValidateCertificate(sys, results[1].Cert, 0); err != nil {
-			t.Errorf("certificate rejected: %v", err)
-		}
+	// Bounds only let k-induction skip base cases; whatever the
+	// interleaving, its step case proves at the property's induction
+	// depth.
+	if d := results[1].Depth; d != 3 {
+		t.Errorf("k-induction depth = %d, want 3", d)
 	}
 }
 
-// TestPortfolioCooperationVerdicts pins the portfolio entry point in
-// both modes on conclusive instances of both polarities: cooperation
-// must not flip verdicts, and the cooperative run's stats must carry
-// the folded bus counters.
+// TestPortfolioCooperationVerdicts pins the portfolio entry point on
+// conclusive instances of both polarities: sharing bounds must not
+// flip a verdict, and the evidence must survive validation.
 func TestPortfolioCooperationVerdicts(t *testing.T) {
-	holdsSys, p, _ := evenSystem()
+	holdsSys, p := evenSystem()
 	violSys, x := counterSystem()
 	bad := expr.Ne(x.Ref(), expr.IntConst(5))
 	cases := []struct {
@@ -263,27 +201,18 @@ func TestPortfolioCooperationVerdicts(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{MaxDepth: 12, Timeout: 30 * time.Second, ValidateWitness: true}
-			coop, err := Portfolio(tc.sys, tc.phi, opts)
+			r, err := Portfolio(tc.sys, tc.phi, Options{MaxDepth: 12, Timeout: 30 * time.Second, ValidateWitness: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.NoCooperation = true
-			racing, err := Portfolio(tc.sys, tc.phi, opts)
-			if err != nil {
-				t.Fatal(err)
+			if r.Status != tc.want {
+				t.Fatalf("portfolio = %v, want %v", r.Status, tc.want)
 			}
-			if coop.Status != tc.want || racing.Status != tc.want {
-				t.Fatalf("coop=%v racing=%v, want %v both", coop.Status, racing.Status, tc.want)
+			if r.Witness == witness.Failed {
+				t.Fatalf("witness validation failed: %s", r.Note)
 			}
-			if coop.Witness == witness.Failed || racing.Witness == witness.Failed {
-				t.Fatalf("witness validation failed: coop=%q racing=%q", coop.Witness, racing.Witness)
-			}
-			if coop.Stats == nil {
-				t.Fatal("cooperative run reported no stats")
-			}
-			if racing.Stats != nil && (racing.Stats.BoundsShared != 0 || racing.Stats.InvariantsHandedOff != 0) {
-				t.Errorf("racing run reports cooperation counters: %+v", racing.Stats)
+			if r.Stats == nil {
+				t.Fatal("portfolio reported no stats")
 			}
 		})
 	}
@@ -297,7 +226,7 @@ func TestPortfolioCooperationVerdicts(t *testing.T) {
 // learned clause or heuristic state leaking between independent
 // checks would perturb the CDCL trajectory and show up here.
 func TestInterruptedIncrementalNoStateLeak(t *testing.T) {
-	sys, p, _ := evenSystem()
+	sys, p := evenSystem()
 	phi := ltl.G(ltl.Atom(p))
 	type snapshot struct {
 		status Status
@@ -350,7 +279,8 @@ func TestInterruptedIncrementalNoStateLeak(t *testing.T) {
 }
 
 // TestCoopStatsWire pins the JSON wire form and String rendering of
-// the cooperation counters.
+// the cooperation counters. InvariantsHandedOff keeps its wire key for
+// stored records but is no longer rendered.
 func TestCoopStatsWire(t *testing.T) {
 	st := &Stats{BoundsShared: 3, InvariantsHandedOff: 1, IncrementalReuses: 7}
 	data, err := json.Marshal(st)
@@ -369,7 +299,7 @@ func TestCoopStatsWire(t *testing.T) {
 	if back.BoundsShared != 3 || back.InvariantsHandedOff != 1 || back.IncrementalReuses != 7 {
 		t.Errorf("round trip lost counters: %+v", back)
 	}
-	if s := st.String(); !strings.Contains(s, "coop: 3 bounds shared") {
+	if s := st.String(); !strings.Contains(s, "coop: 3 bounds shared, 7 incremental reuses") {
 		t.Errorf("String() = %q, want cooperation counters rendered", s)
 	}
 }
@@ -393,32 +323,24 @@ func chainSystem(width int) (*ts.System, *expr.Var) {
 	return sys, x
 }
 
-// BenchmarkIncrementalBMCDepthScaling measures the tentpole's claim:
-// re-blasting the unrolling per depth costs O(k²) encoding work to
-// reach depth k, extending one solver costs O(k). The counterexample
-// sits at the named depth, so each run pays for every depth below it.
+// BenchmarkIncrementalBMCDepthScaling measures how incremental BMC
+// scales with depth: extending one solver costs O(k) encoding work to
+// reach depth k. The counterexample sits at the named depth, so each
+// run pays for every depth below it.
 func BenchmarkIncrementalBMCDepthScaling(b *testing.B) {
 	for _, depth := range []int{8, 16, 24} {
 		sys, x := chainSystem(3)
 		phi := ltl.G(ltl.Atom(expr.Ne(x.Ref(), expr.IntConst(int64(depth)))))
-		for _, mode := range []struct {
-			name string
-			opts Options
-		}{
-			{"rebuild", Options{MaxDepth: 32, RebuildBMC: true}},
-			{"incremental", Options{MaxDepth: 32}},
-		} {
-			b.Run(fmt.Sprintf("%s/depth%d", mode.name, depth), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := BMC(sys, phi, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Status != Violated || r.Depth != depth {
-						b.Fatalf("got %v at depth %d, want violated at %d", r.Status, r.Depth, depth)
-					}
+		b.Run(fmt.Sprintf("incremental/depth%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := BMC(sys, phi, Options{MaxDepth: 32})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if r.Status != Violated || r.Depth != depth {
+					b.Fatalf("got %v at depth %d, want violated at %d", r.Status, r.Depth, depth)
+				}
+			}
+		})
 	}
 }

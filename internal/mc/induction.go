@@ -26,14 +26,9 @@ import (
 // frame through the blast layer, and every depth reuses the previous
 // depth's clause databases via sat.Solver.SolveAssuming (the ¬p-at-end
 // obligation is an assumption, never asserted). Under the portfolio's
-// cooperation bus two further savings apply: base cases already
-// covered by a published "no counterexample below k" bound are
-// skipped (and clean base cases publish their own bound back), and a
-// reachable-set invariant handed off by the BDD engine is installed as
-// a sticky strengthening hypothesis on the step case — sound because a
-// minimal counterexample path visits only reachable states, decisive
-// because reach ⟹ p makes the strengthened step UNSAT immediately
-// when the property holds.
+// cooperation bus, base cases already covered by a published "no
+// counterexample below k" bound are skipped, and clean base cases
+// publish their own bound back.
 func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err error) {
 	// See BMC: unsupported input surfaces as a cnf.CompileError panic
 	// and is converted to an error here rather than crashing the caller.
@@ -66,8 +61,6 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		r.Stats = stats
 		return r
 	}
-	strengthened := false
-	var strengthInv *expr.Expr
 	for k := 0; k <= opts.maxDepth(); k++ {
 		depthStart := time.Now()
 		if opts.expired(start) {
@@ -89,17 +82,6 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 			step.enc.Assert(p, step.frames[0], nil)
 		} else if err := step.extend(); err != nil {
 			return nil, err
-		}
-		// A reachable-set invariant handed off over the bus joins the
-		// step case as a sticky hypothesis (asserted at every frame,
-		// current and future) the first time it is seen.
-		if !strengthened {
-			if inv, _, ok := coop.invariant(); ok {
-				step.assertSticky(inv)
-				strengthInv = inv
-				strengthened = true
-				coop.noteHandoff()
-			}
 		}
 		// Frame k joined the step prefix this iteration: it must carry
 		// p, and the simple-path constraint makes it pairwise distinct
@@ -141,34 +123,23 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		stats.DepthTime = append(stats.DepthTime, time.Since(depthStart))
 		switch st {
 		case sat.Unsat:
-			// Certify the proof: at depth 0 the property itself —
-			// conjoined with the handed-off invariant when one
-			// strengthened the step — is inductive, so the certificate
-			// names that predicate as its strengthening and is checked
-			// by the three inductive-invariant conditions. At k > 0 the
-			// strengthening is the simple-path unrolling, which has no
-			// compact predicate form — the certificate claims only
-			// reachability and is checked by explicit replay.
+			// Certify the proof: at depth 0 the property itself is
+			// inductive, so the certificate names it as its
+			// strengthening and is checked by the three
+			// inductive-invariant conditions. At k > 0 the strengthening
+			// is the simple-path unrolling, which has no compact
+			// predicate form — the certificate claims only reachability
+			// and is checked by explicit replay.
 			cert := &witness.Certificate{Kind: "k-induction", Property: p, Depth: k}
-			note := fmt.Sprintf("proved at induction depth %d", k)
 			if k == 0 {
 				cert.Invariant = p
-				if strengthened {
-					// p alone need not be inductive once the step case
-					// leans on the reach invariant; inv∧p is (inv is
-					// inductive and the step proved inv∧p∧TRANS ⟹ p').
-					cert.Invariant = expr.And(strengthInv, p)
-				}
-			}
-			if strengthened {
-				note += " (step strengthened by handed-off reach invariant)"
 			}
 			return finish(&Result{
 				Status:  Holds,
 				Engine:  "k-induction",
 				Depth:   k,
 				Elapsed: time.Since(start),
-				Note:    note,
+				Note:    fmt.Sprintf("proved at induction depth %d", k),
 				Cert:    cert,
 			}), nil
 		case sat.Unknown:

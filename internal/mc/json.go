@@ -99,7 +99,8 @@ type wireStats struct {
 	Racers          []string `json:"racers,omitempty"`
 	EngineErrors    []string `json:"engine_errors,omitempty"`
 	WitnessFailures int64    `json:"witness_failures,omitempty"`
-	// Cooperation counters (portfolio cooperative mode).
+	// Cooperation counters. invariants_handed_off is always 0 and
+	// stays for records that carry it (see Stats.InvariantsHandedOff).
 	BoundsShared        int64 `json:"bounds_shared,omitempty"`
 	InvariantsHandedOff int64 `json:"invariants_handed_off,omitempty"`
 	IncrementalReuses   int64 `json:"incremental_reuses,omitempty"`

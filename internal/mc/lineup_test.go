@@ -91,26 +91,21 @@ func TestPortfolioLineup(t *testing.T) {
 // fallback decides it.
 func TestPortfolioFallbackDecidesDeepModel(t *testing.T) {
 	sys, phi := deepEven(t, false)
-	for _, noCoop := range []bool{true, false} {
-		r, err := Portfolio(sys, phi, Options{MaxDepth: 25, NoCooperation: noCoop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Status != Holds {
-			t.Fatalf("no-coop=%v: %v, want holds", noCoop, r)
-		}
-		if want := []string{"bmc", "k-induction", "bdd(fallback)"}; !reflect.DeepEqual(r.Stats.Racers, want) {
-			t.Errorf("no-coop=%v: racers %v, want %v", noCoop, r.Stats.Racers, want)
-		}
-		if !strings.Contains(r.Stats.String(), "racers: bmc k-induction bdd(fallback)") {
-			t.Errorf("no-coop=%v: -stats line %q does not show the lineup", noCoop, r.Stats)
-		}
-		// With the bus on, a k-induction still running may install the
-		// fallback's published reach set and prove first; either way the
-		// fallback's fixpoint decided the check.
-		if r.Engine != "portfolio/bdd" && (noCoop || r.Engine != "portfolio/k-induction") {
-			t.Errorf("no-coop=%v: engine %q, want portfolio/bdd", noCoop, r.Engine)
-		}
+	r, err := Portfolio(sys, phi, Options{MaxDepth: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != Holds {
+		t.Fatalf("%v, want holds", r)
+	}
+	if want := []string{"bmc", "k-induction", "bdd(fallback)"}; !reflect.DeepEqual(r.Stats.Racers, want) {
+		t.Errorf("racers %v, want %v", r.Stats.Racers, want)
+	}
+	if !strings.Contains(r.Stats.String(), "racers: bmc k-induction bdd(fallback)") {
+		t.Errorf("-stats line %q does not show the lineup", r.Stats)
+	}
+	if r.Engine != "portfolio/bdd" {
+		t.Errorf("engine %q, want portfolio/bdd", r.Engine)
 	}
 }
 

@@ -567,39 +567,56 @@ func TestRandomSystemsCTLCrossValidation(t *testing.T) {
 	}
 }
 
-// TestIncrementalBMCAgrees: the incremental solver-reuse mode must
-// find the same verdicts (and valid traces) as the per-depth rebuild.
+// TestIncrementalBMCAgrees holds both BMC paths to the explicit
+// referee: G p runs the incremental unrolling (its negation is
+// co-safety), F G p the per-depth rebuild of the lasso search. The
+// random systems have 8 states, so MaxDepth 10 covers every shortest
+// counterexample and lasso, and BMC must find a violation exactly when
+// the referee does — for G p at the depth of the referee's BFS
+// (shortest) trace.
 func TestIncrementalBMCAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(8080))
+	var violations [2]int
 	for trial := 0; trial < 25; trial++ {
 		sys, b, x := randSystem(rng)
 		p := randPredicate(rng, b, x)
-		for _, phi := range []*ltl.Formula{
-			ltl.G(ltl.Atom(p)),
-			ltl.F(ltl.G(ltl.Atom(p))),
+		ex, err := NewExplicit(sys, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tc := range []struct {
+			phi   *ltl.Formula
+			check func(*expr.Expr) (*Result, error)
+		}{
+			{ltl.G(ltl.Atom(p)), ex.CheckInvariant},
+			{ltl.F(ltl.G(ltl.Atom(p))), ex.CheckFG},
 		} {
-			// RebuildBMC forces the per-depth rebuild reference even for
-			// co-safety negations, where incremental is now the default.
-			r1, err := BMC(sys, phi, Options{MaxDepth: 10, RebuildBMC: true})
+			want, err := tc.check(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := BMC(sys, phi, Options{MaxDepth: 10, IncrementalBMC: true})
+			got, err := BMC(sys, tc.phi, Options{MaxDepth: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r1.Status != r2.Status {
-				t.Fatalf("trial %d (%s): rebuild=%v incremental=%v", trial, phi, r1.Status, r2.Status)
+			if (got.Status == Violated) != (want.Status == Violated) {
+				t.Fatalf("trial %d (%s): bmc=%v explicit=%v", trial, tc.phi, got.Status, want.Status)
 			}
-			if r2.Status == Violated {
-				if err := witness.Validate(sys, phi, r2.Trace); err != nil {
-					t.Fatalf("trial %d: incremental trace invalid: %v", trial, err)
-				}
-				if r1.Depth != r2.Depth {
-					t.Errorf("trial %d: depths differ %d vs %d (both engines search shortest-first)", trial, r1.Depth, r2.Depth)
-				}
+			if got.Status != Violated {
+				continue
+			}
+			violations[i]++
+			if err := witness.Validate(sys, tc.phi, got.Trace); err != nil {
+				t.Fatalf("trial %d (%s): bmc trace invalid: %v", trial, tc.phi, err)
+			}
+			if want.Trace != nil && got.Depth != want.Trace.Len()-1 {
+				t.Errorf("trial %d (%s): bmc depth %d, shortest counterexample has %d steps",
+					trial, tc.phi, got.Depth, want.Trace.Len()-1)
 			}
 		}
+	}
+	if violations[0] == 0 || violations[1] == 0 {
+		t.Errorf("violations per property shape %v: comparison vacuous", violations)
 	}
 }
 

@@ -74,15 +74,12 @@ func stateBits(sys *ts.System) int {
 // during checking) — so this is safe, merely a little CPU spent after
 // the answer is in.
 //
-// Unless Options.NoCooperation is set, the race is also a relay: the
-// engines publish proven facts to a shared cooperation bus — BMC and
-// k-induction exchange "no counterexample below depth k" bounds so
-// neither re-proves depths the other cleared, and the BDD engine hands
-// its converged reachable-set invariant to k-induction as a
-// strengthening hypothesis. Every shared fact is a theorem, so
-// cooperation affects time-to-verdict, never the verdict itself; the
-// bus totals land in the winner's Stats (BoundsShared,
-// InvariantsHandedOff, IncrementalReuses).
+// The race is also a relay: BMC and k-induction publish "no
+// counterexample below depth k" bounds to a shared cooperation bus
+// (coop.go), so neither re-proves depths the other cleared. A bound is
+// a theorem, so sharing it affects time-to-verdict, never the verdict
+// itself; the bus totals land in the winner's Stats (BoundsShared,
+// IncrementalReuses).
 //
 // The race is fault-isolated: an engine that panics is recovered in
 // its own goroutine into a structured *resilience.EngineError and the
@@ -102,18 +99,9 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 	start := time.Now()
 	ctx, cancel := context.WithCancel(opts.ctx())
 	defer cancel()
+	bus := newCoopBus()
 	inner := opts
 	inner.Context = ctx
-	// The cooperation bus (see coop.go) lets the racers share proven
-	// facts: BMC and k-induction exchange "no counterexample below k"
-	// depth bounds, and the BDD engine hands its converged reach set to
-	// k-induction as a strengthening invariant. Facts are theorems, so
-	// cooperation changes speed, never verdicts; -no-coop reverts to a
-	// pure race.
-	var bus *coopBus
-	if !opts.NoCooperation {
-		bus = newCoopBus()
-	}
 	inner.coop = bus
 
 	type run struct {
@@ -246,14 +234,12 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 			r.Stats = &Stats{}
 		}
 		r.Stats.Racers = racers
-		if bus != nil {
-			// Race-wide cooperation totals. The losers' goroutines may
-			// still be draining toward their next cancellation poll, so
-			// the counters can tick briefly after this snapshot; the
-			// snapshot itself is atomic loads — race-clean by
-			// construction, checked by the -race stress test.
-			bus.fold(r.Stats)
-		}
+		// Race-wide cooperation totals. The losers' goroutines may
+		// still be draining toward their next cancellation poll, so the
+		// counters can tick briefly after this snapshot; the snapshot
+		// itself is atomic loads — race-clean by construction, checked
+		// by the -race stress test.
+		bus.fold(r.Stats)
 		if len(failures) > 0 || witnessFails > 0 {
 			r.Stats.EngineErrors = append(r.Stats.EngineErrors, failures...)
 			r.Stats.WitnessFailures += witnessFails

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"verdict/internal/ltl"
 	"verdict/internal/sat"
 	"verdict/internal/trace"
 	"verdict/internal/witness"
@@ -104,15 +103,16 @@ type Stats struct {
 	// Cooperation counters. On a portfolio result they are race-wide
 	// totals folded from the cooperation bus after the race settles; on
 	// a single-engine result IncrementalReuses is that engine's own
-	// count and the other two are zero. BoundsShared counts "no
+	// count and BoundsShared is zero. BoundsShared counts "no
 	// counterexample below depth k" facts published (each publication
-	// that raised the shared bound); InvariantsHandedOff counts engines
-	// that installed a handed-off reachable-set invariant as a
-	// strengthening hypothesis; IncrementalReuses counts unroller
+	// that raised the shared bound); IncrementalReuses counts unroller
 	// extensions that reused a retained solver instead of re-blasting.
-	BoundsShared        int64
+	BoundsShared      int64
+	IncrementalReuses int64
+	// InvariantsHandedOff is always 0: the bus carries depth bounds
+	// only. The field and its wire key stay because stored job
+	// records carry it and the benchmark harness reads it.
 	InvariantsHandedOff int64
-	IncrementalReuses   int64
 }
 
 // addSolver folds a solver's counters into the stats. Call it exactly
@@ -151,9 +151,9 @@ func (st *Stats) String() string {
 		}
 		parts = append(parts, "per-depth: "+strings.Join(ds, " "))
 	}
-	if st.BoundsShared != 0 || st.InvariantsHandedOff != 0 || st.IncrementalReuses != 0 {
-		parts = append(parts, fmt.Sprintf("coop: %d bounds shared, %d invariants handed off, %d incremental reuses",
-			st.BoundsShared, st.InvariantsHandedOff, st.IncrementalReuses))
+	if st.BoundsShared != 0 || st.IncrementalReuses != 0 {
+		parts = append(parts, fmt.Sprintf("coop: %d bounds shared, %d incremental reuses",
+			st.BoundsShared, st.IncrementalReuses))
 	}
 	if len(st.EngineErrors) > 0 {
 		parts = append(parts, "engine failures: "+strings.Join(st.EngineErrors, "; "))
@@ -236,18 +236,6 @@ type Options struct {
 	// NoSeqCounter forces the adder-tree cardinality encoding
 	// (ablation knob; see DESIGN.md).
 	NoSeqCounter bool
-	// BlockFullAssignment makes the SMT engine block theory conflicts
-	// with whole assignments instead of simplex explanations (ablation).
-	BlockFullAssignment bool
-	// IncrementalBMC forces BMC to extend one solver across unroll
-	// depths instead of rebuilding per depth. Incremental solving is
-	// already the default whenever the negated property is pure
-	// co-safety (a finite prefix decides every witness — the Figure 5/6
-	// workload — where it measures ~3x faster); this flag extends it to
-	// liveness lasso searches too, where results are mixed: every
-	// depth's loop-witness encodings pile up as stale gates that burden
-	// later depths. See BenchmarkAblationIncremental.
-	IncrementalBMC bool
 	// MaxExplicitStates caps explicit-state enumeration (default 1e6).
 	MaxExplicitStates int
 	// Workers caps the goroutine fan-out of the concurrent entry
@@ -280,37 +268,12 @@ type Options struct {
 	// validation and falls back to the survivors; single-engine checks
 	// record the failure in Result.Witness and Stats.WitnessFailures.
 	ValidateWitness bool
-	// NoCooperation makes Portfolio race its engines in isolation
-	// (pre-cooperation behavior, `verdict -no-coop`): no shared depth
-	// bounds, no invariant handoff. Cooperation never changes verdicts
-	// — only how fast one is reached — so this is a debugging and
-	// benchmarking knob (the baseline gate measures both modes), and
-	// the escape hatch if a bus bug is ever suspected in production.
-	NoCooperation bool
-
-	// RebuildBMC forces BMC back onto the per-depth rebuild path even
-	// for co-safety properties, re-encoding the whole unrolling at
-	// every depth. A measurement and differential-testing escape
-	// hatch, never a performance choice: the incremental-vs-rebuild
-	// equivalence oracle needs the rebuild reference, and
-	// `verdict-bench -rebuild-bmc` uses it to reproduce the
-	// pre-incremental timings recorded in EXPERIMENTS.md.
-	RebuildBMC bool
 
 	// coop is the portfolio's shared cooperation bus, threaded to the
-	// engines it races. Internal: a nil bus means racing mode, and
-	// callers outside this package cannot set it.
+	// engines it races. Internal: single-engine checks run with a nil
+	// bus and share nothing, and callers outside this package cannot
+	// set it.
 	coop *coopBus
-}
-
-// incrementalBMC decides whether BMC extends one solver across depths:
-// forced by IncrementalBMC, default for pure co-safety negations
-// (where no loop-witness gates can pile up and reuse is a pure win).
-func (o Options) incrementalBMC(neg *ltl.Formula) bool {
-	if o.RebuildBMC {
-		return false
-	}
-	return o.IncrementalBMC || coSafety(neg)
 }
 
 func (o Options) maxDepth() int {

@@ -567,17 +567,6 @@ func (s *Sym) Reach() (bdd.Node, error) {
 	}
 	s.reach = r
 	s.haveReach = true
-	// Cooperation: the converged reach set is an inductive invariant
-	// (contains INIT, closed under TRANS within INVAR). Publish it the
-	// moment the fixpoint lands — before any counterexample
-	// reconstruction or certificate work — so a racing k-induction can
-	// install it as a strengthening hypothesis while this engine is
-	// still assembling its own evidence.
-	if s.opts.coop != nil {
-		if inv := s.invariantExpr(r); inv != nil {
-			s.opts.coop.publishInvariant(inv, len(s.layers))
-		}
-	}
 	return r, nil
 }
 

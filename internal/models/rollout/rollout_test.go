@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"verdict/internal/expr"
+	"verdict/internal/ltl"
 	"verdict/internal/mc"
 	"verdict/internal/topo"
 )
@@ -18,6 +19,39 @@ func build(t *testing.T, cfg Config) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestIncrementalReuseCounted pins incremental solver reuse on the
+// Figure 5 violation by counter rather than by timing: BMC extends one
+// solver once per depth past 0, and k-induction extends its base and
+// step solvers once each per depth. A change that re-blasts the
+// unrolling at some depth lowers the count.
+func TestIncrementalReuseCounted(t *testing.T) {
+	m := build(t, Config{Topo: topo.Test(), P: 1, K: 2, M: 1})
+	p, ok := ltl.IsSafetyInvariant(m.Property)
+	if !ok {
+		t.Fatalf("property %s is not an invariant", m.Property)
+	}
+	for _, c := range []struct {
+		name     string
+		run      func() (*mc.Result, error)
+		perDepth int64
+	}{
+		{"bmc", func() (*mc.Result, error) { return mc.BMC(m.Sys, m.Property, mc.Options{MaxDepth: 25}) }, 1},
+		{"k-induction", func() (*mc.Result, error) { return mc.KInduction(m.Sys, p, mc.Options{MaxDepth: 25}) }, 2},
+	} {
+		r, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != mc.Violated || r.Depth == 0 {
+			t.Fatalf("%s: %v at depth %d, want violated past depth 0", c.name, r.Status, r.Depth)
+		}
+		if want := c.perDepth * int64(r.Depth); r.Stats.IncrementalReuses != want {
+			t.Errorf("%s: %d incremental reuses at depth %d, want %d",
+				c.name, r.Stats.IncrementalReuses, r.Depth, want)
+		}
+	}
 }
 
 // TestFigure5Counterexample reproduces the paper's Figure 5: with

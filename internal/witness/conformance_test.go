@@ -156,13 +156,13 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceCooperation sweeps the portfolio over random
-// instances in cooperative and non-cooperative (-no-coop) modes.
-// Cooperation shares only proven facts between engines, so the two
-// modes must return identical verdicts on every instance, and the
-// evidence from both must survive independent validation. CI runs
-// this under -race: the sweep doubles as a scheduler-noise audit of
-// the cooperation bus inside the real portfolio topology.
+// TestConformanceCooperation sweeps the cooperative portfolio over
+// random instances and holds it to the explicit-state CheckLTL
+// reference. The bus shares only proven depth bounds between engines,
+// so the portfolio must conclude with the reference's verdict, its
+// evidence must survive independent validation, and no invariant
+// traffic may appear. CI runs this under -race: the sweep doubles as a
+// scheduler-noise audit of the bus inside the real portfolio topology.
 func TestConformanceCooperation(t *testing.T) {
 	for _, seed := range []int64{11, 12} {
 		seed := seed
@@ -182,34 +182,31 @@ func TestConformanceCooperation(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: cooperative portfolio failed: %v", what, err)
 					}
-					opts.NoCooperation = true
-					racing, err := mc.Portfolio(sys, phi, opts)
+					ref, err := mc.CheckLTL(sys, phi, opts)
 					if err != nil {
-						t.Fatalf("%s: racing portfolio failed: %v", what, err)
+						t.Fatalf("%s: reference CheckLTL failed: %v", what, err)
 					}
-					// These instances are tiny, so both modes conclude; an
-					// Unknown would make the equivalence check vacuous.
-					if coop.Status == mc.Unknown || racing.Status == mc.Unknown {
-						t.Fatalf("%s: inconclusive on a toy instance: coop=%v racing=%v",
-							what, coop.Status, racing.Status)
+					// These instances are tiny, so both conclude; an Unknown
+					// would make the agreement check vacuous.
+					if coop.Status == mc.Unknown || ref.Status == mc.Unknown {
+						t.Fatalf("%s: inconclusive on a toy instance: coop=%v reference=%v",
+							what, coop.Status, ref.Status)
 					}
-					if coop.Status != racing.Status {
-						t.Fatalf("%s: cooperation flipped the verdict: coop=%v racing=%v",
-							what, coop.Status, racing.Status)
+					if coop.Status != ref.Status {
+						t.Fatalf("%s: cooperation flipped the verdict: coop=%v reference=%v",
+							what, coop.Status, ref.Status)
 					}
-					for _, res := range []*mc.Result{coop, racing} {
-						if res.Witness == witness.Failed {
-							t.Fatalf("%s: %s verdict failed witness validation: %s", what, res.Engine, res.Note)
-						}
-						if res.Trace != nil {
-							if err := witness.Validate(sys, phi, res.Trace); err != nil {
-								t.Fatalf("%s: %s counterexample rejected: %v", what, res.Engine, err)
-							}
+					if coop.Witness == witness.Failed {
+						t.Fatalf("%s: %s verdict failed witness validation: %s", what, coop.Engine, coop.Note)
+					}
+					if coop.Trace != nil {
+						if err := witness.Validate(sys, phi, coop.Trace); err != nil {
+							t.Fatalf("%s: %s counterexample rejected: %v", what, coop.Engine, err)
 						}
 					}
-					if racing.Stats != nil &&
-						(racing.Stats.BoundsShared != 0 || racing.Stats.InvariantsHandedOff != 0) {
-						t.Fatalf("%s: -no-coop run reports cooperation traffic: %+v", what, racing.Stats)
+					if coop.Stats != nil && coop.Stats.InvariantsHandedOff != 0 {
+						t.Fatalf("%s: the bus carries depth bounds only, yet reports invariant traffic: %+v",
+							what, coop.Stats)
 					}
 				}
 			}
