@@ -11,8 +11,25 @@ import (
 // the oracle: FuzzSolver explores byte-encoded CNFs under `go test
 // -fuzz`, and TestSolverVsBruteForce replays a seeded random corpus on
 // every plain `go test` run.
+//
+// Both oracles use newTestSolver, whose learnt-clause limit is so low
+// that reduceDB fires after a handful of conflicts, and both reduce and
+// compact the clause arena after every solve they cross-check
+// (compactAndAudit). So even these tiny instances exercise clause
+// deletion and compaction, including at a non-zero decision level
+// after a Sat answer.
 
 const fuzzMaxVars = 12
+
+// testMaxLearnt is the learnt-clause limit of newTestSolver: reduceDB
+// runs once more than this many learnt clauses exist.
+const testMaxLearnt = 2
+
+func newTestSolver() *Solver {
+	s := New()
+	s.maxLearnt = testMaxLearnt
+	return s
+}
 
 // decodeCNF maps arbitrary bytes onto a CNF: the first byte fixes the
 // variable count, zero bytes end clauses, and every other byte is one
@@ -49,7 +66,7 @@ func decodeCNF(data []byte) (nVars int, clauses [][]Lit) {
 // model against the enumerator.
 func checkCNF(t *testing.T, nVars int, clauses [][]Lit) {
 	t.Helper()
-	s := New()
+	s := newTestSolver()
 	for i := 0; i < nVars; i++ {
 		s.NewVar()
 	}
@@ -73,6 +90,7 @@ func checkCNF(t *testing.T, nVars int, clauses [][]Lit) {
 	if st == Unknown {
 		t.Fatalf("solver returned unknown without a budget\nnVars=%d clauses=%v", nVars, clauses)
 	}
+	compactAndAudit(t, s) // must leave the model intact
 	if (st == Sat) != wantSat {
 		t.Fatalf("solver says %v, brute force says sat=%v\nnVars=%d clauses=%v", st, wantSat, nVars, clauses)
 	}
@@ -110,7 +128,7 @@ func checkCNF(t *testing.T, nVars int, clauses [][]Lit) {
 func checkIncrementalCNF(t *testing.T, nVars int, clauses [][]Lit, seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	s := New()
+	s := newTestSolver()
 	for i := 0; i < nVars; i++ {
 		s.NewVar()
 	}
@@ -135,6 +153,10 @@ func checkIncrementalCNF(t *testing.T, nVars int, clauses [][]Lit, seed int64) {
 		if st == Unknown {
 			t.Fatalf("SolveAssuming returned unknown without a budget\nprefix=%v assumps=%v", prefix, assumps)
 		}
+		// After Sat the solver still sits at the model's decision
+		// levels, so this compacts under the assumptions; later
+		// queries then run on the compacted arena.
+		compactAndAudit(t, s)
 		want := bruteForce(nVars, withUnits(prefix, assumps))
 		if (st == Sat) != want {
 			t.Fatalf("incremental SolveAssuming(%v) = %v, brute force says sat=%v\nnVars=%d prefix=%v", assumps, st, want, nVars, prefix)

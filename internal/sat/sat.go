@@ -3,15 +3,19 @@
 // The solver is the workhorse under verdict's bounded model checker,
 // k-induction engine, lazy SMT loop, and enumeration-based parameter
 // synthesis. It implements the standard modern architecture: two
-// watched literals, first-UIP conflict analysis with clause learning,
-// EVSIDS branching with phase saving, Luby restarts, learnt-clause
-// database reduction by LBD, and solving under assumptions with final
-// conflict (unsat core) extraction.
+// watched literals over a flat clause arena (MiniSat's layout, with
+// binary clauses on watch lists of their own), first-UIP conflict
+// analysis with clause learning, EVSIDS branching with phase saving,
+// Luby restarts, learnt-clause database reduction by LBD with arena
+// compaction, and solving under assumptions with final conflict (unsat
+// core) extraction.
 package sat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Lit is a literal: variable index shifted left once, low bit set for
@@ -90,30 +94,42 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-const noReason = -1
+const noReason int32 = -1
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int
-	learnt   bool
-	deleted  bool
-}
+// Clauses live in one flat arena of words, Solver.arena, so that
+// propagation touches one contiguous range per clause. A clause is
+// named by the offset of its first word (a cref) and occupies
+// clauseHdr+size words: a header (size<<sizeShift | deletedBit |
+// learntBit), its LBD, its activity as float32 bits, then its
+// literals. Binary clauses sit in the arena too, as reasons for
+// analysis, but propagate never reads them there: their watchers carry
+// the other literal. Compaction overwrites the header of a moved clause
+// with the complement of its new offset, which is negative.
+const (
+	clauseHdr  = 3
+	learntBit  = 1
+	deletedBit = 2
+	sizeShift  = 2
+)
 
 type watcher struct {
-	cref    int // index into Solver.clauses
-	blocker Lit
+	cref    int32
+	blocker Lit // a literal of the clause; for a binary clause, the other one
 }
 
 // Solver is an incremental CDCL SAT solver. The zero value is not
 // usable; call New.
 type Solver struct {
-	clauses []*clause
-	watches [][]watcher // indexed by Lit
+	arena      []Lit
+	wasted     int         // arena words of deleted clauses, freed by compact
+	learnts    []int32     // crefs of the live learnt clauses
+	numProblem int         // live problem (non-learnt) clauses
+	watches    [][]watcher // clauses of three or more literals, indexed by Lit
+	binWatches [][]watcher // binary clauses, indexed by Lit
 
-	assign   []LBool // indexed by var; value under current trail
+	value    []LBool // indexed by Lit; value under current trail
 	level    []int   // decision level at which var was assigned
-	reason   []int   // clause ref that implied var, or noReason
+	reason   []int32 // clause ref that implied var, or noReason
 	trail    []Lit
 	trailLim []int // trail index at each decision level
 
@@ -127,6 +143,14 @@ type Solver struct {
 	qhead    int
 	ok       bool  // false once a top-level conflict proves UNSAT
 	conflict []Lit // final conflict clause over assumptions (negated)
+
+	// Scratch buffers reused across calls, so that a conflict or an
+	// AddClause allocates nothing once they have grown.
+	addBuf     []Lit
+	learntBuf  []Lit
+	toClear    []int
+	levelStamp []int // per decision level: the lbd call that last saw it
+	stamp      int
 
 	// Statistics, exported for the benchmark harness; Stats() returns
 	// them as one snapshot.
@@ -147,7 +171,6 @@ type Solver struct {
 	// stop records why the last Solve returned Unknown; see StopCause.
 	stop StopCause
 
-	numLearnt  int
 	clauseInc  float64
 	maxLearnt  float64
 	lubyBase   int64
@@ -168,8 +191,8 @@ func New() *Solver {
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assign)
-	s.assign = append(s.assign, Undef)
+	v := s.NumVars()
+	s.value = append(s.value, Undef, Undef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noReason)
 	s.activity = append(s.activity, 0)
@@ -177,29 +200,18 @@ func (s *Solver) NewVar() int {
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.binWatches = append(s.binWatches, nil, nil)
 	s.order.push(v, s.activity)
 	return v
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.value) / 2 }
 
 // SetPhase suggests the first decision polarity for variable v.
 func (s *Solver) SetPhase(v int, value bool) { s.phase[v] = value; s.polarity[v] = value }
 
-func (s *Solver) litValue(l Lit) LBool {
-	v := s.assign[l.Var()]
-	if v == Undef {
-		return Undef
-	}
-	if l.Sign() {
-		if v == TrueV {
-			return FalseV
-		}
-		return TrueV
-	}
-	return v
-}
+func (s *Solver) litValue(l Lit) LBool { return s.value[l] }
 
 // AddClause adds a clause. It returns false if the solver is already
 // in an UNSAT state or the clause makes it so at the top level.
@@ -212,12 +224,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0)
 	// Sort and simplify: drop duplicates and false lits, detect
 	// tautologies and satisfied clauses.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
-		if int(l.Var()) >= len(s.assign) {
+		if l.Var() >= s.NumVars() {
 			panic(fmt.Sprintf("sat: literal %v references unallocated variable", l))
 		}
 		if l == prev {
@@ -247,28 +260,53 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attachClause(&clause{lits: append([]Lit(nil), out...)})
+	s.attachClause(out, false, 0)
 	return true
 }
 
-func (s *Solver) attachClause(c *clause) int {
-	cref := len(s.clauses)
-	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{cref, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{cref, c.lits[0]})
-	if c.learnt {
-		s.numLearnt++
+// attachClause copies lits (at least two) into the arena and watches
+// its first two literals.
+func (s *Solver) attachClause(lits []Lit, learnt bool, lbd int) int32 {
+	if len(s.arena)+clauseHdr+len(lits) > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 words")
 	}
-	return cref
+	c := int32(len(s.arena))
+	h := Lit(len(lits) << sizeShift)
+	if learnt {
+		h |= learntBit
+		s.learnts = append(s.learnts, c)
+	} else {
+		s.numProblem++
+	}
+	s.arena = append(s.arena, h, Lit(lbd), 0)
+	s.arena = append(s.arena, lits...)
+	ws := s.watches
+	if len(lits) == 2 {
+		ws = s.binWatches
+	}
+	ws[lits[0].Not()] = append(ws[lits[0].Not()], watcher{c, lits[1]})
+	ws[lits[1].Not()] = append(ws[lits[1].Not()], watcher{c, lits[0]})
+	return c
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from int) {
+func (s *Solver) clauseSize(c int32) int { return int(s.arena[c] >> sizeShift) }
+
+func (s *Solver) clauseLits(c int32) []Lit {
+	start := int(c) + clauseHdr
+	return s.arena[start : start+s.clauseSize(c)]
+}
+
+func (s *Solver) clauseActivity(c int32) float32 {
+	return math.Float32frombits(uint32(s.arena[c+2]))
+}
+
+func (s *Solver) setClauseActivity(c int32, a float32) {
+	s.arena[c+2] = Lit(math.Float32bits(a))
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = FalseV
-	} else {
-		s.assign[v] = TrueV
-	}
+	s.value[l], s.value[l.Not()] = TrueV, FalseV
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -281,9 +319,10 @@ func (s *Solver) cancelUntil(lvl int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == TrueV
-		s.assign[v] = Undef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Sign()
+		s.value[l], s.value[l.Not()] = Undef, Undef
 		s.reason[v] = noReason
 		if !s.order.inHeap(v) {
 			s.order.push(v, s.activity)
@@ -296,11 +335,23 @@ func (s *Solver) cancelUntil(lvl int) {
 
 // propagate performs unit propagation; it returns the conflicting
 // clause ref or noReason.
-func (s *Solver) propagate() int {
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
+		// Binary clauses: the blocker is the other literal, so no
+		// arena read.
+		for _, w := range s.binWatches[p] {
+			switch s.litValue(w.blocker) {
+			case FalseV:
+				s.qhead = len(s.trail)
+				return w.cref
+			case Undef:
+				s.uncheckedEnqueue(w.blocker, w.cref)
+			}
+		}
+		falseLit := p.Not()
 		ws := s.watches[p]
 		j := 0
 	nextWatcher:
@@ -311,37 +362,37 @@ func (s *Solver) propagate() int {
 				j++
 				continue
 			}
-			c := s.clauses[w.cref]
-			if c.deleted {
+			h := s.arena[w.cref]
+			if h&deletedBit != 0 {
 				continue // drop watcher of deleted clause
 			}
+			start := int(w.cref) + clauseHdr
+			lits := s.arena[start : start+int(h>>sizeShift)]
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == TrueV {
-				ws[j] = watcher{w.cref, first}
+			first := lits[0]
+			w.blocker = first
+			if s.litValue(first) == TrueV {
+				ws[j] = w
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != FalseV {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{w.cref, first})
+			for k := 2; k < len(lits); k++ {
+				if s.litValue(lits[k]) != FalseV {
+					lits[1], lits[k] = lits[k], falseLit
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], w)
 					continue nextWatcher
 				}
 			}
 			// Clause is unit or conflicting.
-			ws[j] = watcher{w.cref, first}
+			ws[j] = w
 			j++
 			if s.litValue(first) == FalseV {
 				// Conflict: copy remaining watchers and bail.
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
-					j++
-				}
+				j += copy(ws[j:], ws[i+1:])
 				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
 				return w.cref
@@ -354,26 +405,24 @@ func (s *Solver) propagate() int {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl int) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in a buffer that the next call reuses.
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
+	toClear := s.toClear[:0]             // every var marked seen, cleared on exit
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	var toClear []int // every var marked seen, cleared on exit
 
 	for {
-		c := s.clauses[confl]
-		if c.learnt {
-			s.bumpClause(c)
+		if s.arena[confl]&learntBit != 0 {
+			s.bumpClause(confl)
 		}
-		start := 0
-		if p != -1 {
-			start = 1
-		}
-		for _, q := range c.lits[start:] {
+		// p, the literal confl implied, may sit in either slot of a
+		// binary clause, so skip it by variable.
+		for _, q := range s.clauseLits(confl) {
 			v := q.Var()
-			if s.seen[v] || s.level[v] == 0 {
+			if v == p.Var() || s.seen[v] || s.level[v] == 0 {
 				continue
 			}
 			s.seen[v] = true
@@ -412,7 +461,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 			continue
 		}
 		redundant := true
-		for _, q := range s.clauses[r].lits {
+		for _, q := range s.clauseLits(r) {
 			qv := q.Var()
 			if qv == v {
 				continue
@@ -444,15 +493,26 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 	for _, v := range toClear {
 		s.seen[v] = false
 	}
+	s.learntBuf, s.toClear = learnt, toClear
 	return learnt, btLevel
 }
 
+// lbd counts the distinct decision levels among lits, stamping each
+// level with this call's number.
 func (s *Solver) lbd(lits []Lit) int {
-	levels := make(map[int]bool, len(lits))
+	s.stamp++
+	n := 0
 	for _, l := range lits {
-		levels[s.level[l.Var()]] = true
+		lv := s.level[l.Var()]
+		if lv >= len(s.levelStamp) {
+			s.levelStamp = append(s.levelStamp, make([]int, lv+1-len(s.levelStamp))...)
+		}
+		if s.levelStamp[lv] != s.stamp {
+			s.levelStamp[lv] = s.stamp
+			n++
+		}
 	}
-	return len(levels)
+	return n
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -466,13 +526,12 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v, s.activity)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.clauseInc
-	if c.activity > 1e20 {
-		for _, cl := range s.clauses {
-			if cl.learnt {
-				cl.activity *= 1e-20
-			}
+func (s *Solver) bumpClause(c int32) {
+	a := s.clauseActivity(c) + float32(s.clauseInc)
+	s.setClauseActivity(c, a)
+	if a > 1e20 {
+		for _, l := range s.learnts {
+			s.setClauseActivity(l, s.clauseActivity(l)*1e-20)
 		}
 		s.clauseInc *= 1e-20
 	}
@@ -484,30 +543,72 @@ func (s *Solver) decayActivities() {
 }
 
 // reduceDB removes roughly half of the learnt clauses, preferring high
-// LBD and low activity; reason clauses and binary clauses survive.
+// LBD and low activity; reason clauses and binary clauses survive. Once
+// deleted clauses fill more than half the arena, it compacts.
 func (s *Solver) reduceDB() {
-	var learnts []*clause
-	locked := make(map[*clause]bool)
+	var cands []int32
+	for _, c := range s.learnts {
+		// A clause of three or more literals is locked while it is the
+		// reason of its slot-0 literal: propagate puts the literal it
+		// implies there.
+		if s.clauseSize(c) > 2 && s.reason[s.arena[int(c)+clauseHdr].Var()] != c {
+			cands = append(cands, c)
+		}
+	}
+	slices.SortFunc(cands, func(a, b int32) int {
+		if la, lb := s.arena[a+1], s.arena[b+1]; la != lb {
+			return cmp.Compare(lb, la)
+		}
+		return cmp.Compare(s.clauseActivity(a), s.clauseActivity(b))
+	})
+	for _, c := range cands[:len(cands)/2] {
+		s.arena[c] |= deletedBit
+		s.wasted += clauseHdr + s.clauseSize(c)
+	}
+	s.learnts = slices.DeleteFunc(s.learnts, func(c int32) bool { return s.arena[c]&deletedBit != 0 })
+	if s.wasted > len(s.arena)/2 {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses into a fresh arena, in watch-list
+// order so that clauses watched together sit together, and drops the
+// watchers of deleted clauses. A moved clause's old header records its
+// new offset, which then rewrites the reasons on the trail and the
+// learnt list. It is safe at any decision level.
+func (s *Solver) compact() {
+	to := make([]Lit, 0, len(s.arena)-s.wasted)
+	move := func(c int32) int32 {
+		if h := s.arena[c]; h < 0 {
+			return int32(^h)
+		}
+		n := int32(len(to))
+		to = append(to, s.arena[c:int(c)+clauseHdr+s.clauseSize(c)]...)
+		s.arena[c] = ^Lit(n)
+		return n
+	}
+	for _, wss := range [2][][]watcher{s.binWatches, s.watches} {
+		for l, ws := range wss {
+			j := 0
+			for _, w := range ws {
+				if h := s.arena[w.cref]; h >= 0 && h&deletedBit != 0 {
+					continue
+				}
+				ws[j] = watcher{move(w.cref), w.blocker}
+				j++
+			}
+			wss[l] = ws[:j]
+		}
+	}
 	for _, l := range s.trail {
 		if r := s.reason[l.Var()]; r != noReason {
-			locked[s.clauses[r]] = true
+			s.reason[l.Var()] = move(r)
 		}
 	}
-	for _, c := range s.clauses {
-		if c.learnt && !c.deleted && len(c.lits) > 2 && !locked[c] {
-			learnts = append(learnts, c)
-		}
+	for i, c := range s.learnts {
+		s.learnts[i] = move(c)
 	}
-	sort.Slice(learnts, func(i, j int) bool {
-		if learnts[i].lbd != learnts[j].lbd {
-			return learnts[i].lbd > learnts[j].lbd
-		}
-		return learnts[i].activity < learnts[j].activity
-	})
-	for _, c := range learnts[:len(learnts)/2] {
-		c.deleted = true
-		s.numLearnt--
-	}
+	s.arena, s.wasted = to, 0
 }
 
 // luby returns the x-th element of the Luby restart sequence
@@ -546,12 +647,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 // call gets its own conflict budget and restart schedule.
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	s.Solves++
+	s.conflict = s.conflict[:0]
 	if !s.ok {
-		s.conflict = nil
 		return Unsat
 	}
 	s.cancelUntil(0)
-	s.conflict = nil
 	s.stop = StopNone
 	startConflicts := s.Conflicts
 	restart := int64(0)
@@ -611,7 +711,7 @@ func (s *Solver) search(assumptions []Lit, maxConfl int64) Status {
 			}
 			if s.decisionLevel() <= len(assumptions) {
 				// Conflict among assumptions: build final conflict.
-				s.analyzeFinalFromConflict(confl, assumptions)
+				s.analyzeFinal(-1, confl)
 				s.cancelUntil(0)
 				return Unsat
 			}
@@ -622,14 +722,13 @@ func (s *Solver) search(assumptions []Lit, maxConfl int64) Status {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], noReason)
 			} else {
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true, lbd: s.lbd(learnt)}
-				cref := s.attachClause(c)
-				s.bumpClause(c)
+				cref := s.attachClause(learnt, true, s.lbd(learnt))
+				s.bumpClause(cref)
 				s.Learnts++
 				s.uncheckedEnqueue(learnt[0], cref)
 			}
 			s.decayActivities()
-			if float64(s.numLearnt) > s.maxLearnt {
+			if float64(len(s.learnts)) > s.maxLearnt {
 				s.reduceDB()
 				s.maxLearnt *= 1.3
 			}
@@ -650,7 +749,7 @@ func (s *Solver) search(assumptions []Lit, maxConfl int64) Status {
 				s.trailLim = append(s.trailLim, len(s.trail)) // dummy level
 				continue
 			case FalseV:
-				s.analyzeFinal(a.Not(), assumptions)
+				s.analyzeFinal(a.Not(), noReason)
 				s.cancelUntil(0)
 				return Unsat
 			default:
@@ -676,98 +775,56 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == Undef {
+		if s.value[Pos(v)] == Undef {
 			return MkLit(v, !s.phase[v])
 		}
 	}
 }
 
-// analyzeFinal computes the set of assumption literals implying the
-// falsified literal p (p is the complement of a failed assumption).
-func (s *Solver) analyzeFinal(p Lit, assumptions []Lit) {
-	s.conflict = []Lit{p}
-	if s.decisionLevel() == 0 {
-		return
+// analyzeFinal sets the final conflict: the negated assumptions that
+// imply a failure. The walk back along the trail is seeded either from
+// p, the complement of an assumption found false, or (p == -1) from
+// confl, a clause that conflicted at an assumption level. Every
+// decision below the assumption levels is an assumption and every
+// variable sits on the trail once, so the decisions the walk reaches
+// are the core, without duplicates.
+func (s *Solver) analyzeFinal(p Lit, confl int32) {
+	s.conflict = s.conflict[:0]
+	mark := func(c int32) {
+		for _, q := range s.clauseLits(c) {
+			if s.level[q.Var()] > 0 {
+				s.seen[q.Var()] = true
+			}
+		}
 	}
-	s.seen[p.Var()] = true
+	if p == -1 {
+		mark(confl)
+	} else {
+		s.conflict = append(s.conflict, p)
+		if s.decisionLevel() == 0 {
+			return
+		}
+		s.seen[p.Var()] = true
+	}
 	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
 		v := s.trail[i].Var()
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == noReason {
-			if s.level[v] > 0 && s.trail[i] != p.Not() {
-				s.conflict = append(s.conflict, s.trail[i].Not())
-			}
+		if r := s.reason[v]; r == noReason {
+			s.conflict = append(s.conflict, s.trail[i].Not())
 		} else {
-			for _, q := range s.clauses[s.reason[v]].lits {
-				if s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
-				}
-			}
+			mark(r)
 		}
 		s.seen[v] = false
 	}
-	s.seen[p.Var()] = false
-	// Keep only actual assumptions (dedup).
-	asm := make(map[Lit]bool, len(assumptions))
-	for _, a := range assumptions {
-		asm[a] = true
+	if p != -1 {
+		s.seen[p.Var()] = false // p may be a level-0 literal the walk never reaches
 	}
-	out := s.conflict[:0]
-	seenL := make(map[Lit]bool)
-	for _, l := range s.conflict {
-		if asm[l.Not()] && !seenL[l] {
-			seenL[l] = true
-			out = append(out, l)
-		}
-	}
-	s.conflict = out
-}
-
-func (s *Solver) analyzeFinalFromConflict(confl int, assumptions []Lit) {
-	// Mark all literals of the conflicting clause and walk back.
-	s.conflict = nil
-	for _, q := range s.clauses[confl].lits {
-		if s.level[q.Var()] > 0 {
-			s.seen[q.Var()] = true
-		}
-	}
-	for i := len(s.trail) - 1; i >= 0; i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if s.reason[v] == noReason {
-			if s.level[v] > 0 {
-				s.conflict = append(s.conflict, s.trail[i].Not())
-			}
-		} else {
-			for _, q := range s.clauses[s.reason[v]].lits {
-				if s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	asm := make(map[Lit]bool, len(assumptions))
-	for _, a := range assumptions {
-		asm[a] = true
-	}
-	out := s.conflict[:0]
-	seenL := make(map[Lit]bool)
-	for _, l := range s.conflict {
-		if asm[l.Not()] && !seenL[l] {
-			seenL[l] = true
-			out = append(out, l)
-		}
-	}
-	s.conflict = out
 }
 
 // Value returns the model value of variable v after a Sat result.
-func (s *Solver) Value(v int) LBool { return s.assign[v] }
+func (s *Solver) Value(v int) LBool { return s.value[Pos(v)] }
 
 // ValueLit returns the model value of a literal after a Sat result.
 func (s *Solver) ValueLit(l Lit) LBool { return s.litValue(l) }
@@ -820,15 +877,7 @@ func (s *Solver) Stats() Stats {
 
 // NumClauses returns the number of live problem clauses (excluding
 // learnt ones).
-func (s *Solver) NumClauses() int {
-	n := 0
-	for _, c := range s.clauses {
-		if !c.learnt && !c.deleted {
-			n++
-		}
-	}
-	return n
-}
+func (s *Solver) NumClauses() int { return s.numProblem }
 
 // --- activity-ordered heap ---
 
