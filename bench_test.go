@@ -14,14 +14,11 @@ import (
 	"time"
 
 	"verdict"
-	"verdict/internal/expr"
 	"verdict/internal/incidents"
 	"verdict/internal/mc"
 	"verdict/internal/models/lbecmp"
 	"verdict/internal/models/rollout"
 	"verdict/internal/pool"
-	"verdict/internal/sat"
-	"verdict/internal/smt"
 	"verdict/internal/topo"
 )
 
@@ -227,69 +224,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCardinality measures the sequential-counter
-// cardinality encoding against the adder-tree fallback on the rollout
-// model's "count(failed links) <= k" constraints.
-func BenchmarkAblationCardinality(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		noSeq bool
-	}{{"seq-counter", false}, {"adder-tree", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := rollout.Build(rollout.Config{Topo: topo.FatTree(4), P: 1, K: 2, M: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := mc.BMC(m.Sys, m.Property, mc.Options{MaxDepth: 10, NoSeqCounter: mode.noSeq})
-				if err != nil || r.Status != mc.Violated {
-					b.Fatalf("%v %v", r, err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSMTConflicts measures precise simplex conflict
-// explanations against full-assignment blocking in the lazy SMT loop
-// (case study 2 workload).
-func BenchmarkAblationSMTConflicts(b *testing.B) {
-	// On the full case-study workload the full-assignment variant is
-	// intractable (hours — every boolean assignment of the irrelevant
-	// atoms must be blocked one at a time), which is precisely the
-	// ablation's finding. The benchmark therefore uses a bounded
-	// instance: nChaff free real variables (two atoms each) plus one
-	// core contradiction. Explanations refute it in a couple of theory
-	// conflicts; full-assignment blocking must enumerate every
-	// consistent polarity combination of the ~2·nChaff+2 atoms.
-	const nChaff = 4
-	for _, mode := range []struct {
-		name      string
-		blockFull bool
-	}{{"explanations", false}, {"full-assignment", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := smt.NewContext()
-				ctx.BlockFullAssignment = mode.blockFull
-				x := &expr.Var{Name: "x", T: expr.Real(), Param: true}
-				for j := 0; j < nChaff; j++ {
-					y := &expr.Var{Name: fmt.Sprintf("y%d", j), T: expr.Real(), Param: true}
-					// Each chaff var floats freely on one side of a cut.
-					ctx.Assert(expr.Or(
-						expr.Lt(y.Ref(), expr.RealFrac(0, 1)),
-						expr.Gt(y.Ref(), expr.RealFrac(1, 1)),
-					), nil, nil)
-				}
-				ctx.Assert(expr.Gt(x.Ref(), expr.RealFrac(5, 1)), nil, nil)
-				ctx.Assert(expr.Lt(x.Ref(), expr.RealFrac(3, 1)), nil, nil)
-				if st := ctx.Solve(); st != sat.Unsat {
-					b.Fatalf("want unsat, got %v", st)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSynthesis compares BDD-projection synthesis against
 // per-valuation enumeration on the rollout parameter space.
 func BenchmarkAblationSynthesis(b *testing.B) {
@@ -410,7 +344,7 @@ func BenchmarkFig6Parallel(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					res, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 30, Context: ctx})
+					res, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 30, Context: ctx})
 					if err != nil {
 						return err
 					}

@@ -156,7 +156,7 @@ func runBaselineCell(cell baselineCell, mode string) (baselineEntry, error) {
 			res, refinements, spurious = ares.Result, ares.Refinements, ares.Spurious
 		} else {
 			var err error
-			res, err = verdict.CheckPortfolio(m.Sys, m.Property, opts)
+			res, err = verdict.Check(m.Sys, m.Property, opts)
 			if err != nil {
 				return baselineEntry{}, fmt.Errorf("%s (%s): %w", cell.name, mode, err)
 			}

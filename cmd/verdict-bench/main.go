@@ -45,7 +45,7 @@ func main() {
 		exp      = flag.String("exp", "all", "experiment: table1, fig2, fig5, synth, lbecmp, fig6, all")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-verification budget for fig6 (paper used 1h)")
 		maxK     = flag.Int("max-fattree", 8, "largest fat-tree parameter for fig6 (paper: 12)")
-		engine   = flag.String("verify-engine", "kind", "fig6 verification engine: kind (k-induction; fast, the property is 2-inductive) or bdd (exhaustive reachability, reproducing the paper's NuXMV behavior)")
+		engine   = flag.String("verify-engine", "portfolio", "fig6 verification engine: portfolio (the engine race; k-induction wins, the property is 2-inductive) or bdd (exhaustive reachability, reproducing the paper's NuXMV behavior)")
 		workers  = flag.Int("workers", 1, "worker goroutines for the fig6 sweep cells (0 = NumCPU, 1 = serial)")
 		stats    = flag.Bool("stats", false, "print per-engine statistics for each fig6 cell")
 		ckpt     = flag.String("checkpoint", "", "fig6: persist each completed sweep cell to this JSON file, so a killed run can be resumed")
@@ -64,6 +64,9 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.String("verdict-bench"))
 		return
+	}
+	if *engine != "portfolio" && *engine != "bdd" {
+		log.Fatalf("unknown -verify-engine %q (want portfolio or bdd)", *engine)
 	}
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {

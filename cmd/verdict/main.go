@@ -47,11 +47,10 @@ import (
 )
 
 var (
-	// showStats mirrors -stats; usePortfolio mirrors -portfolio;
-	// useEnumSynth mirrors -synth-engine=enum; retryPolicy mirrors
-	// -retry-budgets (zero Attempts = single run).
+	// showStats mirrors -stats; useEnumSynth mirrors
+	// -synth-engine=enum; retryPolicy mirrors -retry-budgets (zero
+	// Attempts = single run).
 	showStats    bool
-	usePortfolio bool
 	useEnumSynth bool
 	retryPolicy  verdict.RetryPolicy
 	// useAbstract mirrors -abstract; scenarioTopo/P/K/M mirror the
@@ -80,19 +79,9 @@ func dief(format string, args ...any) {
 	os.Exit(2)
 }
 
-// check dispatches to the portfolio racer or the default engine
-// pipeline, honoring -portfolio and the -retry-budgets ladder.
+// check races the engine portfolio under the -retry-budgets ladder.
 func check(sys *verdict.System, phi *verdict.LTL, opts verdict.Options) (*verdict.Result, error) {
-	switch {
-	case usePortfolio && retryPolicy.Attempts > 0:
-		return verdict.CheckPortfolioWithRetry(sys, phi, opts, retryPolicy)
-	case usePortfolio:
-		return verdict.CheckPortfolio(sys, phi, opts)
-	case retryPolicy.Attempts > 0:
-		return verdict.CheckWithRetry(sys, phi, opts, retryPolicy)
-	default:
-		return verdict.Check(sys, phi, opts)
-	}
+	return verdict.CheckWithRetry(sys, phi, opts, retryPolicy)
 }
 
 // synthesize dispatches to BDD projection (default) or per-valuation
@@ -127,7 +116,6 @@ func main() {
 		validate  = flag.Bool("validate", false, "independently validate every verdict's evidence: counterexamples are replayed and checked to violate the property, proof certificates are re-checked by direct evaluation")
 		stats     = flag.Bool("stats", false, "print per-engine statistics (SAT conflicts/decisions/propagations, BDD nodes, time per depth)")
 		workers   = flag.Int("workers", 0, "worker goroutines for parameter synthesis (0 = NumCPU, 1 = serial)")
-		portfolio = flag.Bool("portfolio", false, "race BMC, k-induction and the BDD engine; first conclusive answer wins")
 		synthEng  = flag.String("synth-engine", "bdd", "parameter-synthesis engine: bdd (set projection) or enum (checks every valuation separately, parallel over -workers)")
 		satBudget = flag.Int64("sat-budget", 0, "CDCL conflict budget per solver; exhaustion degrades the verdict to unknown (0 = unlimited)")
 		bddBudget = flag.Int("bdd-budget", 0, "BDD arena node budget; exhaustion degrades the verdict to unknown (0 = unlimited)")
@@ -146,7 +134,6 @@ func main() {
 	}
 
 	showStats = *stats
-	usePortfolio = *portfolio
 	useAbstract = *abstr
 	scenarioTopo, scenarioP, scenarioK, scenarioM = *topoName, *rolloutP, *rolloutK, *rolloutM
 	if useAbstract && (*scenario != "rollout" || *synth) {
@@ -262,14 +249,7 @@ func runScenario(name string, synth, fullTrace, verify bool, opts verdict.Option
 			fmt.Printf("safe p: %v\nunsafe p: %v\n", res.Safe, res.Unsafe)
 			return
 		}
-		var res *verdict.Result
-		if usePortfolio {
-			// The portfolio can prove Holds; plain BMC only refutes,
-			// which is all the default k=2 violation demo needs.
-			res, err = check(m.Sys, m.Property, opts)
-		} else {
-			res, err = verdict.FindCounterexample(m.Sys, m.Property, opts)
-		}
+		res, err := check(m.Sys, m.Property, opts)
 		if err != nil {
 			die(err)
 		}

@@ -21,7 +21,6 @@ import (
 	"verdict/internal/server"
 	"verdict/internal/watch"
 	"verdict/internal/watch/extract"
-	"verdict/internal/witness"
 )
 
 // runWatch is the `verdict watch` subcommand — continuous verification
@@ -160,25 +159,14 @@ func localWatchVerify(depth int, budget time.Duration) watch.VerifyFunc {
 			return watch.Outcome{Verdict: watch.VerdictFailed, Err: "extracted model has no LTLSPEC"}
 		}
 		opts := verdict.Options{MaxDepth: depth, Timeout: budget, Context: ctx, ValidateWitness: true}
-		res, err := verdict.CheckPortfolio(prog.Sys, prog.LTLSpecs[0], opts)
+		res, err := verdict.Check(prog.Sys, prog.LTLSpecs[0], opts)
 		if err != nil {
 			return watch.Outcome{Verdict: watch.VerdictFailed, Err: err.Error()}
 		}
-		out := watch.Outcome{
+		return watch.Outcome{
 			Verdict: res.Status.String(), Engine: res.Engine,
 			Witness: res.Witness.String(), Trace: res.Trace,
 		}
-		if out.Verdict == watch.VerdictViolated && (out.Trace == nil || len(out.Trace.States) == 0) {
-			// The winning engine (BDD) decided without a counterexample;
-			// incidents must carry a validated violating run, so derive
-			// one with a bounded search on the same instance.
-			if cex, err := verdict.FindCounterexample(prog.Sys, prog.LTLSpecs[0], opts); err == nil &&
-				cex.Status == verdict.Violated && cex.Trace != nil && cex.Witness != witness.Failed {
-				out.Trace = cex.Trace
-				out.Witness = cex.Witness.String()
-			}
-		}
-		return out
 	}
 }
 

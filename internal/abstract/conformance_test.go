@@ -76,7 +76,6 @@ func quotientEngines(opts mc.Options) map[string]CheckFunc {
 	return map[string]CheckFunc{
 		"portfolio": mc.Portfolio,
 		"bmc":       mc.BMC,
-		"checkltl":  mc.CheckLTL,
 		"bdd": func(sys *ts.System, phi *ltl.Formula, o mc.Options) (*mc.Result, error) {
 			sym, err := mc.NewSym(sys, o)
 			if err != nil {

@@ -4,8 +4,8 @@
 // hashing; bounded integers and enums are bit-blasted into binary
 // "offset bitvectors" (a vector of literals plus a constant offset)
 // with ripple-carry arithmetic; Count comparisons against constants
-// use a sequential-counter cardinality encoding (with an adder-tree
-// fallback kept for the ablation benchmarks).
+// use a sequential-counter cardinality encoding; any other Count
+// comparison sums the bits with an adder tree.
 //
 // The same expression can be instantiated at many time frames — the
 // bounded model checker unrolls the transition relation by compiling
@@ -58,10 +58,6 @@ type Encoder struct {
 	// Params, when set, resolves variables not found in a frame —
 	// parameters live in a single time-invariant frame.
 	Params *Frame
-
-	// NoSeqCounter disables the sequential-counter cardinality
-	// encoding, forcing the adder-tree fallback (ablation knob).
-	NoSeqCounter bool
 
 	// Extern, when set, is consulted before compiling any boolean
 	// node; returning ok=true short-circuits with the given literal.
@@ -803,9 +799,6 @@ func (e *Encoder) OrLits(ls ...sat.Lit) sat.Lit { return e.mkOrN(ls) }
 // tryCardinality recognizes Count(bits) ⋈ constant comparisons and
 // compiles them with a sequential counter.
 func (e *Encoder) tryCardinality(ex *expr.Expr, cur, next *Frame) (sat.Lit, bool) {
-	if e.NoSeqCounter {
-		return 0, false
-	}
 	a, b := ex.Args[0], ex.Args[1]
 	op := ex.Op
 	var cnt *expr.Expr

@@ -87,7 +87,7 @@ func TestWithRetryEscalates(t *testing.T) {
 			if o.Budget.SATConflicts < 16 {
 				return &Result{Status: Unknown, Note: "sat conflict budget exhausted"}, nil
 			}
-			return CheckLTL(sys, phi, o)
+			return Portfolio(sys, phi, o)
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -121,16 +121,28 @@ func TestWithRetryNoBudgetRunsOnce(t *testing.T) {
 	}
 }
 
-func TestCheckLTLWithRetry(t *testing.T) {
+func TestWithRetryNoAttemptsRunsOnceUntouched(t *testing.T) {
+	calls := 0
+	r, err := WithRetry(Options{Budget: Budget{SATConflicts: 1}}, resilience.RetryPolicy{},
+		func(o Options) (*Result, error) {
+			calls++
+			return &Result{Status: Unknown, Note: "sat conflict budget exhausted"}, nil
+		})
+	if err != nil || calls != 1 || r.Note != "sat conflict budget exhausted" {
+		t.Fatalf("zero attempts should run once with no retry note: calls=%d r=%v err=%v", calls, r, err)
+	}
+}
+
+func TestPortfolioWithRetry(t *testing.T) {
 	sys, x := counterSystem()
 	phi := ltl.G(ltl.Atom(expr.Le(x.Ref(), expr.IntConst(7))))
-	r, err := CheckLTLWithRetry(sys, phi,
-		Options{Budget: Budget{SATConflicts: 1, BDDNodes: 32}},
-		resilience.RetryPolicy{Attempts: 6, Factor: 4})
+	r, err := WithRetry(Options{Budget: Budget{SATConflicts: 1, BDDNodes: 32}},
+		resilience.RetryPolicy{Attempts: 6, Factor: 4},
+		func(o Options) (*Result, error) { return Portfolio(sys, phi, o) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != Holds {
-		t.Fatalf("CheckLTLWithRetry: %v, want holds", r)
+		t.Fatalf("portfolio under the retry ladder: %v, want holds", r)
 	}
 }

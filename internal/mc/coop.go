@@ -13,8 +13,8 @@ package mc
 //
 // Sharing a theorem never flips a verdict, so the portfolio returns
 // what its engines return in isolation — the conformance sweep in
-// internal/witness checks the portfolio against isolated BMC, BDD and
-// CheckLTL on every instance. All bus state is guarded for concurrent
+// internal/witness checks the portfolio against isolated BMC and BDD
+// runs on every instance. All bus state is guarded for concurrent
 // use: counters are atomics, and the bound sits behind a mutex.
 
 import (

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"verdict/internal/expr"
-	"verdict/internal/ltl"
 	"verdict/internal/sat"
 	"verdict/internal/ts"
 	"verdict/internal/witness"
@@ -153,69 +152,4 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		Elapsed: time.Since(start),
 		Note:    fmt.Sprintf("not inductive up to depth %d", opts.maxDepth()),
 	}), nil
-}
-
-// CheckInvariant proves or refutes G(p): k-induction first (it can
-// both prove and refute), falling back on the result it gives.
-func CheckInvariant(sys *ts.System, p *expr.Expr, opts Options) (*Result, error) {
-	return KInduction(sys, p, opts)
-}
-
-// CheckLTL is the top-level finite-system entry point: a safety
-// invariant G(p) goes through k-induction first (cheap refutation via
-// its base case, cheap proof when the property is inductive at small
-// depth) with a quarter of the time budget, then the BDD engine
-// decides exactly; everything else goes through BMC for refutation
-// and the BDD engine for proofs. With Options.ValidateWitness the
-// conclusive verdict's evidence is re-checked by the independent
-// witness validator before it is returned (outcome in Result.Witness).
-func CheckLTL(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) {
-	r, err := checkLTL(sys, phi, opts)
-	if err == nil && opts.ValidateWitness {
-		RecordWitness(sys, phi, r)
-	}
-	return r, err
-}
-
-func checkLTL(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) {
-	if p, ok := ltl.IsSafetyInvariant(phi); ok && sys.Finite() {
-		kiOpts := opts
-		if opts.Timeout > 0 {
-			kiOpts.Timeout = opts.Timeout / 4
-		}
-		r, err := KInduction(sys, p, kiOpts)
-		if err != nil || r.Status != Unknown {
-			return r, err
-		}
-		sym, err := NewSym(sys, opts)
-		if err != nil {
-			return r, nil
-		}
-		rb, err := sym.CheckInvariant(p)
-		if err != nil {
-			return nil, err
-		}
-		if rb.Status == Unknown {
-			rb.Note = "k-induction and BDD both exhausted their budgets"
-		}
-		return rb, nil
-	}
-	if sys.Finite() {
-		// Try cheap refutation first, then decide with BDDs.
-		r, err := BMC(sys, phi, opts)
-		if err != nil {
-			return nil, err
-		}
-		if r.Status == Violated {
-			return r, nil
-		}
-		sym, err := NewSym(sys, opts)
-		if err != nil {
-			// Fall back to the bounded result.
-			r.Note += " (bdd engine unavailable: " + err.Error() + ")"
-			return r, nil
-		}
-		return sym.CheckLTL(phi)
-	}
-	return BMC(sys, phi, opts)
 }

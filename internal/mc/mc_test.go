@@ -336,21 +336,21 @@ func TestSynthesizeParamsEnumMatchesBDD(t *testing.T) {
 	}
 }
 
-func TestCheckLTLDispatch(t *testing.T) {
+func TestPortfolioProvesSafetyAndLiveness(t *testing.T) {
 	sys, x := counterSystem()
-	r, err := CheckLTL(sys, ltl.G(ltl.Atom(expr.Le(x.Ref(), expr.IntConst(7)))), Options{})
+	r, err := Portfolio(sys, ltl.G(ltl.Atom(expr.Le(x.Ref(), expr.IntConst(7)))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != Holds {
-		t.Fatalf("dispatch safety: %v", r)
+		t.Fatalf("G(x<=7) on a mod-8 counter: %v, want holds", r)
 	}
-	r, err = CheckLTL(sys, ltl.F(ltl.Atom(expr.Eq(x.Ref(), expr.IntConst(5)))), Options{})
+	r, err = Portfolio(sys, ltl.F(ltl.Atom(expr.Eq(x.Ref(), expr.IntConst(5)))), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != Holds {
-		t.Fatalf("dispatch F(x=5) on a mod-8 counter: %v, want holds", r)
+		t.Fatalf("F(x=5) on a mod-8 counter: %v, want holds", r)
 	}
 }
 

@@ -88,6 +88,15 @@ func stateBits(sys *ts.System) int {
 // period passes. Either way the failure is recorded in the returned
 // Result's Stats.EngineErrors, so degraded races are visible.
 //
+// A violation carries a trace whenever one can be had. The BDD
+// engine decides general LTL without extracting a lasso, so its
+// traceless Violated does not end the race while BMC is still
+// running: the portfolio holds it, and BMC's lasso wins (validated
+// like any winner's evidence) once BMC finds it. If BMC ends without
+// one (MaxDepth below the lasso, a deadline, cancellation, a rejected
+// trace), the held verdict is returned as it is: traceless, never
+// Unknown.
+//
 // The winning Result keeps the deciding engine's stats and depth and
 // gets "portfolio/" prefixed to its engine name. If no engine
 // concludes, the fallback's Unknown is returned when it ran, else the
@@ -206,6 +215,7 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 	var (
 		best         *Result
 		lastResort   *Result
+		held         *Result // a traceless Violated awaiting BMC's lasso
 		failures     []string
 		firstErr     error
 		witnessFails int64
@@ -294,9 +304,16 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 						continue
 					}
 				}
+				if o.res.Status == Violated && o.res.Trace == nil && outstanding["bmc"] {
+					held = o.res
+					continue
+				}
 				return finish(o.res), nil
 			}
 			take(o)
+			if held != nil && !outstanding["bmc"] {
+				return finish(held), nil
+			}
 			switch {
 			case o.err != nil:
 			case o.fallback:
@@ -316,6 +333,9 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 			cancel()
 			writeOffStalled()
 		}
+	}
+	if held != nil {
+		return attach(held), nil
 	}
 	// The fallback decides everything given time, so when it gives up
 	// its reason (timeout, budget, cancellation) is the race's;

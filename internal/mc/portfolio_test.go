@@ -8,6 +8,7 @@ import (
 	"verdict/internal/expr"
 	"verdict/internal/ltl"
 	"verdict/internal/ts"
+	"verdict/internal/witness"
 )
 
 func TestPortfolioViolated(t *testing.T) {
@@ -92,5 +93,50 @@ func TestPortfolioRealValued(t *testing.T) {
 	}
 	if r.Engine != "portfolio/bmc" && !strings.HasPrefix(r.Engine, "portfolio/") {
 		t.Errorf("engine %q, want a portfolio engine", r.Engine)
+	}
+}
+
+// wrapCounter is a counter that walks 0..n-1 and wraps around: F G
+// (x=0) fails, and the only counterexample is a lasso through the whole
+// n-state cycle. BDD decides it after n image steps on a few bits,
+// long before BMC's per-depth lasso search reaches depth n.
+func wrapCounter(n int64) (*ts.System, *ltl.Formula) {
+	sys := ts.New("wrap")
+	x := sys.Int("x", 0, n-1)
+	sys.Init(x, expr.IntConst(0))
+	sys.Assign(x, expr.Ite(expr.Lt(x.Ref(), expr.IntConst(n-1)),
+		expr.Add(x.Ref(), expr.IntConst(1)), expr.IntConst(0)))
+	return sys, ltl.F(ltl.G(ltl.Atom(expr.Eq(x.Ref(), expr.IntConst(0)))))
+}
+
+// A violation carries a trace whenever BMC can find one: BDD's
+// traceless verdict waits for BMC's lasso instead of winning outright.
+// When the lasso lies beyond MaxDepth the held verdict comes back
+// traceless, never Unknown.
+func TestPortfolioViolationCarriesTrace(t *testing.T) {
+	const n = 24
+	sys, phi := wrapCounter(n)
+	for i := 0; i < 3; i++ {
+		r, err := Portfolio(sys, phi, Options{MaxDepth: n + 5, ValidateWitness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != Violated || r.Trace == nil {
+			t.Fatalf("run %d: %v (trace %v), want violated with a trace", i, r, r.Trace != nil)
+		}
+		if err := witness.Validate(sys, phi, r.Trace); err != nil {
+			t.Fatalf("run %d: %s trace rejected: %v", i, r.Engine, err)
+		}
+		if r.Witness != witness.Validated {
+			t.Fatalf("run %d: witness %q, want validated", i, r.Witness)
+		}
+	}
+
+	r, err := Portfolio(sys, phi, Options{MaxDepth: n / 4, ValidateWitness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != Violated || r.Trace != nil || r.Engine != "portfolio/bdd" {
+		t.Fatalf("lasso beyond MaxDepth: %v (trace %v), want a traceless violated from bdd", r, r.Trace != nil)
 	}
 }

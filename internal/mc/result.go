@@ -233,14 +233,12 @@ type Options struct {
 	MaxDepth int
 	// Timeout bounds wall-clock time (0 = none).
 	Timeout time.Duration
-	// NoSeqCounter forces the adder-tree cardinality encoding
-	// (ablation knob; see DESIGN.md).
-	NoSeqCounter bool
 	// MaxExplicitStates caps explicit-state enumeration (default 1e6).
 	MaxExplicitStates int
-	// Workers caps the goroutine fan-out of the concurrent entry
-	// points (Portfolio, SynthesizeParamsEnum, the verdict-bench
-	// sweep). 0 means runtime.NumCPU(); 1 forces the serial path.
+	// Workers caps the goroutine fan-out of SynthesizeParamsEnum and
+	// the verdict-bench sweep. 0 means runtime.NumCPU(); 1 forces the
+	// serial path. Portfolio never reads it: it starts one goroutine
+	// per engine in its lineup.
 	Workers int
 	// Context, when non-nil, cancels in-flight checks cooperatively:
 	// the engines poll it at the same points as the wall-clock

@@ -3,9 +3,7 @@ package mc
 import (
 	"fmt"
 
-	"verdict/internal/ltl"
 	"verdict/internal/resilience"
-	"verdict/internal/ts"
 )
 
 // WithRetry runs check under opts, and while the verdict is Unknown
@@ -13,19 +11,17 @@ import (
 // (resilience.RetryPolicy.Scale) — the standard restart ladder for
 // budgeted solvers: spend a small budget on the easy cases, escalate
 // geometrically only for the hard ones. The last attempt's result is
-// returned, its Note annotated with the attempt count. If no budget
-// dimension is set there is nothing to escalate, so check runs once.
+// returned, its Note annotated with the attempt count. With no
+// attempts in the policy, or no budget dimension to escalate, check
+// runs once and its result is returned untouched.
 //
 // A cancelled context is respected: retries stop as soon as
 // opts.Context is done, since a bigger budget cannot help a caller
 // that has given up.
 func WithRetry(opts Options, pol resilience.RetryPolicy, check func(Options) (*Result, error)) (*Result, error) {
-	if opts.Budget.IsZero() {
-		return check(opts)
-	}
 	attempts := pol.Attempts
-	if attempts <= 0 {
-		attempts = 1
+	if attempts <= 0 || opts.Budget.IsZero() {
+		return check(opts)
 	}
 	base := opts.Budget
 	var last *Result
@@ -59,21 +55,4 @@ func noteWithAttempt(note string, attempt int, b Budget) string {
 		return tag
 	}
 	return note + " (" + tag + ")"
-}
-
-// CheckLTLWithRetry is CheckLTL under a WithRetry escalation ladder:
-// Unknown verdicts caused by budget exhaustion trigger re-runs with
-// geometrically larger budgets, up to pol.Attempts tries.
-func CheckLTLWithRetry(sys *ts.System, phi *ltl.Formula, opts Options, pol resilience.RetryPolicy) (*Result, error) {
-	return WithRetry(opts, pol, func(o Options) (*Result, error) {
-		return CheckLTL(sys, phi, o)
-	})
-}
-
-// CheckPortfolioWithRetry races the portfolio under the same
-// escalation ladder.
-func CheckPortfolioWithRetry(sys *ts.System, phi *ltl.Formula, opts Options, pol resilience.RetryPolicy) (*Result, error) {
-	return WithRetry(opts, pol, func(o Options) (*Result, error) {
-		return Portfolio(sys, phi, o)
-	})
 }

@@ -14,7 +14,6 @@ import (
 	"verdict/internal/resilience"
 	"verdict/internal/trace"
 	"verdict/internal/ts"
-	"verdict/internal/witness"
 )
 
 // ParamAssignment is one concrete valuation of every parameter.
@@ -210,7 +209,8 @@ func (s *Sym) enumParams(f bdd.Node) []ParamAssignment {
 
 // SynthesizeParamsEnum is the enumeration fallback (and ablation
 // baseline): it checks the property separately for every parameter
-// valuation using k-induction/BMC, rather than projecting BDD sets.
+// valuation with the engine portfolio, rather than projecting BDD
+// sets.
 //
 // The finite valuation space is embarrassingly parallel, so the
 // valuations fan out over Options.Workers goroutines (0 = NumCPU, 1 =
@@ -259,10 +259,12 @@ func SynthesizeParamsEnum(sys *ts.System, phi *ltl.Formula, opts Options) (*Synt
 	rec(0, nil, ParamAssignment{})
 
 	// With Options.Checkpoint set, every completed valuation is
-	// persisted (key = the assignment's canonical string), and with
-	// Resume the recorded verdicts are replayed instead of re-checked —
-	// so a killed sweep picks up where it stopped and produces the same
-	// merged result.
+	// persisted (key = the assignment's canonical string) as a Result
+	// in its JSON wire form, verdict and trace only, and with Resume the
+	// recorded verdicts are replayed instead of re-checked — so a killed
+	// sweep picks up where it stopped and produces the same merged
+	// result. A cell that does not decode to holds or violated is
+	// recomputed.
 	var ckpt *resilience.Checkpoint
 	if opts.Checkpoint != "" {
 		var err error
@@ -277,39 +279,31 @@ func SynthesizeParamsEnum(sys *ts.System, phi *ltl.Formula, opts Options) (*Synt
 	err := pool.Run(opts.ctx(), opts.workers(), len(jobs), func(ctx context.Context, i int) error {
 		key := jobs[i].vals.String()
 		if ckpt != nil && opts.Resume {
-			var cell synthCell
-			if ckpt.Lookup(key, &cell) {
-				r, err := cell.result()
-				if err != nil {
-					return err
-				}
-				results[i] = r
+			var r Result
+			if ckpt.Lookup(key, &r) && r.Status != Unknown {
+				results[i] = &r
 				return nil
 			}
 		}
 		resilience.At(ctx, fmt.Sprintf("synth/%d", i))
 		inner := opts
 		inner.Context = ctx
-		r, err := CheckLTL(clonePinned(sys, jobs[i].pins), phi, inner)
+		r, err := Portfolio(clonePinned(sys, jobs[i].pins), phi, inner)
 		if err != nil {
 			return err
 		}
+		// With ValidateWitness the portfolio accepts only evidence that
+		// survives independent replay, so a fictitious trace surfaces
+		// here as Unknown and fails the sweep rather than being recorded.
 		if r.Status == Unknown {
 			if ctx.Err() != nil {
 				return ctx.Err() // cancelled by a sibling's failure
 			}
-			return fmt.Errorf("mc: enumeration synthesis undecided for %s", jobs[i].vals)
-		}
-		// CheckLTL stamps r.Witness when ValidateWitness is set; a
-		// per-valuation trace that fails independent replay poisons the
-		// whole partition (the Unsafe set would cite a fictitious
-		// execution), so it fails the sweep rather than being recorded.
-		if opts.ValidateWitness && r.Witness == witness.Failed {
-			return fmt.Errorf("mc: witness validation failed for %s: %s", jobs[i].vals, r.Note)
+			return fmt.Errorf("mc: enumeration synthesis undecided for %s: %s", jobs[i].vals, r.Note)
 		}
 		results[i] = r
 		if ckpt != nil {
-			if err := ckpt.Mark(key, cellFromResult(r)); err != nil {
+			if err := ckpt.Mark(key, &Result{Status: r.Status, Trace: r.Trace}); err != nil {
 				return err
 			}
 		}

@@ -3,39 +3,12 @@ package mc
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"path/filepath"
 	"testing"
 
-	"verdict/internal/expr"
 	"verdict/internal/ltl"
 	"verdict/internal/resilience"
 )
-
-func TestValueCodecRoundTrip(t *testing.T) {
-	vals := []expr.Value{
-		expr.BoolValue(true),
-		expr.BoolValue(false),
-		expr.IntValue(-42),
-		expr.EnumValue("rollout"),
-		expr.RealValue(big.NewRat(7, 3)),
-	}
-	for _, v := range vals {
-		got, err := decodeValue(encodeValue(v))
-		if err != nil {
-			t.Fatalf("decode(%q): %v", encodeValue(v), err)
-		}
-		if !got.Equal(v) {
-			t.Errorf("round trip %s -> %q -> %s", v, encodeValue(v), got)
-		}
-	}
-	if _, err := decodeValue("x:nope"); err == nil {
-		t.Error("unknown tag should fail to decode")
-	}
-	if _, err := decodeValue("garbage"); err == nil {
-		t.Error("untagged string should fail to decode")
-	}
-}
 
 // synthResultsEqual asserts two synthesis results are byte-identical
 // in everything a caller can observe: the safe/unsafe partitions and

@@ -17,7 +17,7 @@ func TestIncidentHappensAtLowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 30})
+	r, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSafeThresholdHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 30})
+	r, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

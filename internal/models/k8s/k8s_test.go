@@ -11,7 +11,7 @@ import (
 func TestTaintLoopOscillates(t *testing.T) {
 	// Issue #75913: a scheduler that ignores taints lets the loop spin.
 	m := BuildTaintLoop(TaintLoopConfig{RespectTaints: false})
-	r, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 10})
+	r, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTaintLoopOscillates(t *testing.T) {
 
 func TestTaintLoopFixedByRespectingTaints(t *testing.T) {
 	m := BuildTaintLoop(TaintLoopConfig{RespectTaints: true})
-	r, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 10})
+	r, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestHPASurgeConfigValidation(t *testing.T) {
 func TestDeschedulerOscillation(t *testing.T) {
 	// Figure 2's parameters: request 50%, threshold 45% — oscillates.
 	m := BuildDescheduler(DeschedulerConfig{RequestCPU: 50, Threshold: 45})
-	r, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 10})
+	r, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDeschedulerOscillation(t *testing.T) {
 
 func TestDeschedulerSafeThreshold(t *testing.T) {
 	m := BuildDescheduler(DeschedulerConfig{RequestCPU: 50, Threshold: 50})
-	r, err := mc.CheckLTL(m.Sys, m.Property, mc.Options{MaxDepth: 10})
+	r, err := mc.Portfolio(m.Sys, m.Property, mc.Options{MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,10 +169,7 @@ func (c Config) withDefaults() Config {
 // worker.
 func defaultCheck(sys *ts.System, phi *ltl.Formula, opts mc.Options, pol resilience.RetryPolicy) (res *mc.Result, err error) {
 	defer resilience.RecoverTo("verdictd", &err)
-	if pol.Attempts > 0 {
-		return mc.CheckPortfolioWithRetry(sys, phi, opts, pol)
-	}
-	return mc.Portfolio(sys, phi, opts)
+	return mc.WithRetry(opts, pol, func(o mc.Options) (*mc.Result, error) { return mc.Portfolio(sys, phi, o) })
 }
 
 // Job states reported on the wire.
@@ -252,17 +249,12 @@ type Server struct {
 	// work stealing); nil in single-node mode.
 	cluster *clusterState
 
-	// Continuous-verification sessions (watch.go). watchMu guards all
-	// three maps; watchSnaps holds the latest journaled snapshot bytes
-	// per open session — the compactor's live set. watchTraces is a
-	// memory-only side cache of BMC-derived counterexamples for
-	// verdicts whose winning engine produced none, so a config flapping
-	// back to a known-violated model re-reports its incident without
-	// re-deriving the trace.
-	watchMu     sync.Mutex
-	watches     map[string]*watch.Session
-	watchSnaps  map[string][]byte
-	watchTraces map[string]watchTrace
+	// Continuous-verification sessions (watch.go). watchMu guards both
+	// maps; watchSnaps holds the latest journaled snapshot bytes per
+	// open session — the compactor's live set.
+	watchMu    sync.Mutex
+	watches    map[string]*watch.Session
+	watchSnaps map[string][]byte
 
 	baseCtx context.Context
 	cancel  context.CancelFunc

@@ -12,11 +12,8 @@ import (
 
 	"verdict/internal/incidents"
 	"verdict/internal/journal"
-	"verdict/internal/mc"
-	"verdict/internal/trace"
 	"verdict/internal/watch"
 	"verdict/internal/watch/extract"
-	"verdict/internal/witness"
 )
 
 // This file wires the continuous-verification engine (internal/watch)
@@ -47,17 +44,6 @@ import (
 // maxWatchSessions bounds concurrently open sessions (each owns a
 // goroutine and a journaled snapshot).
 const maxWatchSessions = 64
-
-// maxWatchTraces bounds the BMC-derived trace side cache; overflow
-// resets it (traces are re-derivable, losing one costs a BMC pass).
-const maxWatchTraces = 256
-
-// watchTrace is a cached BMC-derived counterexample for a violated
-// verdict whose winning engine produced no trace.
-type watchTrace struct {
-	tr      *trace.Trace
-	witness string
-}
 
 // WatchCreateRequest is the POST /v1/watch body.
 type WatchCreateRequest struct {
@@ -111,7 +97,6 @@ type WatchStatusResponse struct {
 func (s *Server) initWatch() {
 	s.watches = make(map[string]*watch.Session)
 	s.watchSnaps = make(map[string][]byte)
-	s.watchTraces = make(map[string]watchTrace)
 
 	s.mWatchEvents = s.reg.Counter("verdictd_watch_events_total", "Config-change events ingested across watch sessions.")
 	s.mWatchRechecks = s.reg.Counter("verdictd_watch_rechecks_total", "Properties considered by watch verify passes, by result: run (dirty, re-verified) or skipped (clean, source unchanged).", "result")
@@ -198,43 +183,13 @@ func (s *Server) watchVerify(ctx context.Context, p extract.Property) watch.Outc
 	if res == nil {
 		return watch.Outcome{Verdict: watch.VerdictFailed, Err: errMsg, Cached: cached}
 	}
-	out := watch.Outcome{
+	return watch.Outcome{
 		Verdict: res.Status.String(),
 		Engine:  res.Engine,
 		Witness: res.Witness.String(),
 		Cached:  cached,
 		Trace:   res.Trace,
 	}
-	if out.Verdict == watch.VerdictViolated && (out.Trace == nil || len(out.Trace.States) == 0) {
-		// The winning engine decided without a counterexample (BDD);
-		// incidents must carry a witness-validated violating run, so
-		// derive one with a bounded BMC pass on the same compiled
-		// instance and validate it independently. The derived trace is
-		// kept in a memory-only side cache: a config that flaps back to
-		// a known-violated model re-reports without re-deriving.
-		s.watchMu.Lock()
-		wt, hit := s.watchTraces[cr.id]
-		s.watchMu.Unlock()
-		if !hit {
-			if cex, err := mc.BMC(cr.sys, cr.phi, cr.opts); err == nil && cex.Status == mc.Violated && cex.Trace != nil {
-				mc.RecordWitness(cr.sys, cr.phi, cex)
-				if cex.Witness != witness.Failed {
-					wt = watchTrace{tr: cex.Trace, witness: cex.Witness.String()}
-					s.watchMu.Lock()
-					if len(s.watchTraces) >= maxWatchTraces {
-						s.watchTraces = make(map[string]watchTrace)
-					}
-					s.watchTraces[cr.id] = wt
-					s.watchMu.Unlock()
-				}
-			}
-		}
-		if wt.tr != nil {
-			out.Trace = wt.tr
-			out.Witness = wt.witness
-		}
-	}
-	return out
 }
 
 // ownerURL is this node's advertised URL, empty single-node.

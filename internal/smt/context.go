@@ -71,10 +71,6 @@ type Context struct {
 	MaxTheoryIterations int
 	// TheoryConflicts counts blocking clauses learned (statistics).
 	TheoryConflicts int
-	// BlockFullAssignment, when true, blocks theory conflicts with the
-	// full atom assignment instead of the simplex explanation — the
-	// ablation knob measuring how much conflict explanations matter.
-	BlockFullAssignment bool
 
 	tvars    []string // theory var names, index = theory var id
 	varOf    map[tvarKey]int
@@ -384,23 +380,13 @@ func (c *Context) checkTheory() bool {
 	}
 	c.TheoryConflicts++
 	var clause []sat.Lit
-	if c.BlockFullAssignment {
-		seen := make(map[sat.Lit]bool)
-		for _, l := range asserted {
-			if !seen[l] {
-				seen[l] = true
-				clause = append(clause, l.Not())
-			}
+	seen := make(map[int]bool)
+	for _, tag := range confl {
+		if tag < 0 || tag >= len(asserted) || seen[tag] {
+			continue
 		}
-	} else {
-		seen := make(map[int]bool)
-		for _, tag := range confl {
-			if tag < 0 || tag >= len(asserted) || seen[tag] {
-				continue
-			}
-			seen[tag] = true
-			clause = append(clause, asserted[tag].Not())
-		}
+		seen[tag] = true
+		clause = append(clause, asserted[tag].Not())
 	}
 	c.Sat.AddClause(clause...)
 	return false

@@ -305,36 +305,6 @@ func TestContextAtomDedup(t *testing.T) {
 	}
 }
 
-func TestContextBlockFullAssignmentAblation(t *testing.T) {
-	mk := func(blockFull bool) int {
-		c := NewContext()
-		c.BlockFullAssignment = blockFull
-		x := mkRealParam("x")
-		// Irrelevant boolean chaff plus a core contradiction.
-		chaff := make([]*expr.Var, 6)
-		for i := range chaff {
-			chaff[i] = &expr.Var{Name: "c", T: expr.Bool(), ID: i}
-		}
-		f := c.Enc.NewFrame(chaff)
-		for _, ch := range chaff {
-			c.Assert(expr.Or(ch.Ref(), expr.Not(ch.Ref())), f, nil)
-			// Tie each chaff var to a harmless atom so it reaches the theory.
-			c.Assert(expr.Implies(ch.Ref(), expr.Ge(x.Ref(), expr.RealFrac(-1000, 1))), f, nil)
-		}
-		c.Assert(expr.Gt(x.Ref(), expr.RealFrac(5, 1)), nil, nil)
-		c.Assert(expr.Lt(x.Ref(), expr.RealFrac(3, 1)), nil, nil)
-		if got := c.Solve(); got != sat.Unsat {
-			t.Fatalf("Solve = %v, want unsat", got)
-		}
-		return c.TheoryConflicts
-	}
-	precise := mk(false)
-	full := mk(true)
-	if precise > full {
-		t.Errorf("explanation-based conflicts (%d) should not exceed full-assignment blocking (%d)", precise, full)
-	}
-}
-
 func TestContextParamsSharedAcrossFrames(t *testing.T) {
 	// The same parameter referenced with different frames must resolve
 	// to one theory variable.

@@ -25,11 +25,11 @@ func TestRenderRoundTripCounter(t *testing.T) {
 	}
 	// Semantic equivalence: check results agree on all specs.
 	for i := range prog1.LTLSpecs {
-		r1, err := mc.CheckLTL(prog1.Sys, prog1.LTLSpecs[i], mc.Options{})
+		r1, err := mc.Portfolio(prog1.Sys, prog1.LTLSpecs[i], mc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := mc.CheckLTL(prog2.Sys, prog2.LTLSpecs[i], mc.Options{})
+		r2, err := mc.Portfolio(prog2.Sys, prog2.LTLSpecs[i], mc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

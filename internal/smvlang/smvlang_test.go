@@ -36,14 +36,14 @@ func TestParseCounter(t *testing.T) {
 		t.Fatalf("vars=%d ltl=%d ctl=%d", len(prog.Sys.Vars()), len(prog.LTLSpecs), len(prog.CTLSpecs))
 	}
 	// Check the parsed model end to end.
-	r, err := mc.CheckLTL(prog.Sys, prog.LTLSpecs[0], mc.Options{})
+	r, err := mc.Portfolio(prog.Sys, prog.LTLSpecs[0], mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != mc.Holds {
 		t.Errorf("G(x<=7): %v", r)
 	}
-	r, err = mc.CheckLTL(prog.Sys, prog.LTLSpecs[1], mc.Options{})
+	r, err = mc.Portfolio(prog.Sys, prog.LTLSpecs[1], mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ LTLSPEC
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.CheckLTL(prog.Sys, prog.LTLSpecs[0], mc.Options{})
+	r, err := mc.Portfolio(prog.Sys, prog.LTLSpecs[0], mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ LTLSPEC G (count(a, b, c) <= 1);
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.CheckLTL(prog.Sys, prog.LTLSpecs[0], mc.Options{})
+	r, err := mc.Portfolio(prog.Sys, prog.LTLSpecs[0], mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ LTLSPEC G (x = 1 -> F (x = 3));
 		t.Fatal(err)
 	}
 	for i, spec := range prog.LTLSpecs {
-		r, err := mc.CheckLTL(prog.Sys, spec, mc.Options{MaxDepth: 10})
+		r, err := mc.Portfolio(prog.Sys, spec, mc.Options{MaxDepth: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ LTLSPEC G (x >= -3);
 	if v.T.Lo != -3 || v.T.Hi != 3 {
 		t.Errorf("range %d..%d", v.T.Lo, v.T.Hi)
 	}
-	r, err := mc.CheckLTL(prog.Sys, prog.LTLSpecs[0], mc.Options{})
+	r, err := mc.Portfolio(prog.Sys, prog.LTLSpecs[0], mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ LTLSPEC G small;
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.CheckLTL(prog.Sys, prog.LTLSpecs[0], mc.Options{})
+	r, err := mc.Portfolio(prog.Sys, prog.LTLSpecs[0], mc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

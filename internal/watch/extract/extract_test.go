@@ -308,7 +308,7 @@ func assertVerdict(t *testing.T, source, want string) {
 	if len(prog.LTLSpecs) != 1 {
 		t.Fatalf("extracted source has %d LTLSPECs, want 1", len(prog.LTLSpecs))
 	}
-	res, err := verdict.CheckPortfolio(prog.Sys, prog.LTLSpecs[0], verdict.Options{
+	res, err := verdict.Check(prog.Sys, prog.LTLSpecs[0], verdict.Options{
 		MaxDepth:        25,
 		ValidateWitness: true,
 	})
@@ -318,18 +318,7 @@ func assertVerdict(t *testing.T, source, want string) {
 	if res.Status.String() != want {
 		t.Fatalf("verdict = %s, want %s", res.Status, want)
 	}
-	if res.Status.String() == "violated" && (res.Trace == nil || len(res.Trace.States) == 0) {
-		// The winning engine may decide without a trace (BDD); BMC
-		// must still be able to produce the violating run.
-		cex, err := verdict.FindCounterexample(prog.Sys, prog.LTLSpecs[0], verdict.Options{
-			MaxDepth:        25,
-			ValidateWitness: true,
-		})
-		if err != nil {
-			t.Fatalf("bmc on violated source: %v", err)
-		}
-		if cex.Trace == nil || len(cex.Trace.States) == 0 {
-			t.Fatal("violated verdict has no obtainable trace")
-		}
+	if res.Status.String() == "violated" && (res.Trace == nil || len(res.Trace.States) == 0 || res.Witness != "validated") {
+		t.Fatalf("violated verdict carries no validated trace (witness %q)", res.Witness)
 	}
 }

@@ -157,7 +157,7 @@ func TestConformance(t *testing.T) {
 }
 
 // TestConformanceCooperation sweeps the cooperative portfolio over
-// random instances and holds it to the explicit-state CheckLTL
+// random instances and holds it to the standalone BDD engine as the
 // reference. The bus shares only proven depth bounds between engines,
 // so the portfolio must conclude with the reference's verdict, its
 // evidence must survive independent validation, and no invariant
@@ -182,9 +182,13 @@ func TestConformanceCooperation(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: cooperative portfolio failed: %v", what, err)
 					}
-					ref, err := mc.CheckLTL(sys, phi, opts)
+					sym, err := mc.NewSym(sys, opts)
 					if err != nil {
-						t.Fatalf("%s: reference CheckLTL failed: %v", what, err)
+						t.Fatalf("%s: reference BDD engine failed: %v", what, err)
+					}
+					ref, err := sym.CheckLTL(phi)
+					if err != nil {
+						t.Fatalf("%s: reference BDD engine failed: %v", what, err)
 					}
 					// These instances are tiny, so both conclude; an Unknown
 					// would make the agreement check vacuous.
@@ -224,7 +228,6 @@ func checkInstance(t *testing.T, sys *ts.System, phi *ltl.Formula, what string) 
 		run  func() (*mc.Result, error)
 	}
 	engines := []engine{
-		{"checkltl", func() (*mc.Result, error) { return mc.CheckLTL(sys, phi, opts) }},
 		{"bmc", func() (*mc.Result, error) { return mc.BMC(sys, phi, opts) }},
 		{"portfolio", func() (*mc.Result, error) { return mc.Portfolio(sys, phi, opts) }},
 		{"bdd", func() (*mc.Result, error) {
@@ -248,6 +251,7 @@ func checkInstance(t *testing.T, sys *ts.System, phi *ltl.Formula, what string) 
 	}
 
 	verdicts := map[string]mc.Status{}
+	traced := map[string]bool{}
 	for _, e := range engines {
 		res, err := e.run()
 		if err != nil {
@@ -276,6 +280,7 @@ func checkInstance(t *testing.T, sys *ts.System, phi *ltl.Formula, what string) 
 				}
 				break
 			}
+			traced[e.name] = true
 			if err := witness.Validate(sys, phi, res.Trace); err != nil {
 				t.Fatalf("%s: engine %s counterexample rejected by the witness validator: %v", what, e.name, err)
 			}
@@ -300,5 +305,10 @@ func checkInstance(t *testing.T, sys *ts.System, phi *ltl.Formula, what string) 
 	}
 	if len(holds) > 0 && len(violated) > 0 {
 		t.Fatalf("%s: engines disagree: holds=%v violated=%v", what, holds, violated)
+	}
+	// The portfolio races the same BMC, so whenever BMC alone finds a
+	// counterexample the portfolio's violation must carry one too.
+	if traced["bmc"] && !traced["portfolio"] {
+		t.Fatalf("%s: BMC finds a counterexample, yet the portfolio's verdict carries none", what)
 	}
 }

@@ -239,35 +239,25 @@ func guard(name string, fn func() (*Result, error)) (res *Result, err error) {
 	return fn()
 }
 
-// Check decides an LTL property: safety invariants go through
-// k-induction, other finite-system properties through BMC plus the
-// BDD engine, and real-valued models through SMT-based BMC (which can
-// refute but not prove).
+// Check decides an LTL property by racing every applicable engine —
+// BMC, k-induction and the BDD engine on finite systems, SMT-based BMC
+// (which can refute but not prove) on real-valued ones — as
+// cancellable goroutines, returning the first conclusive result. A
+// violation carries a counterexample trace whenever BMC can find one
+// within opts.MaxDepth. Set opts.Context to cancel the whole race.
 func Check(sys *System, phi *LTL, opts Options) (*Result, error) {
-	return guard("check", func() (*Result, error) { return mc.CheckLTL(sys, phi, opts) })
+	return guard("check", func() (*Result, error) { return mc.Portfolio(sys, phi, opts) })
 }
 
 // CheckWithRetry is Check under an escalating budget ladder: while the
 // verdict is Unknown, the check re-runs with opts.Budget scaled by
 // pol's factor, up to pol.Attempts tries — spend a small budget on the
-// easy cases and escalate only for the hard ones.
+// easy cases and escalate only for the hard ones. With zero attempts
+// it is Check.
 func CheckWithRetry(sys *System, phi *LTL, opts Options, pol RetryPolicy) (*Result, error) {
-	return guard("check-retry", func() (*Result, error) { return mc.CheckLTLWithRetry(sys, phi, opts, pol) })
-}
-
-// CheckPortfolio races every applicable engine — BMC, k-induction,
-// and the BDD engine — on the same instance as cancellable goroutines
-// and returns the first conclusive result, cancelling the rest. Use
-// it when no single engine is known to be fast for the workload; set
-// opts.Context to cancel the whole race externally.
-func CheckPortfolio(sys *System, phi *LTL, opts Options) (*Result, error) {
-	return guard("portfolio", func() (*Result, error) { return mc.Portfolio(sys, phi, opts) })
-}
-
-// CheckPortfolioWithRetry is CheckPortfolio under the same escalating
-// budget ladder as CheckWithRetry.
-func CheckPortfolioWithRetry(sys *System, phi *LTL, opts Options, pol RetryPolicy) (*Result, error) {
-	return guard("portfolio-retry", func() (*Result, error) { return mc.CheckPortfolioWithRetry(sys, phi, opts, pol) })
+	return guard("check-retry", func() (*Result, error) {
+		return mc.WithRetry(opts, pol, func(o Options) (*Result, error) { return mc.Portfolio(sys, phi, o) })
+	})
 }
 
 // FindCounterexample runs bounded model checking only: it searches for
