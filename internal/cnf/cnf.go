@@ -39,9 +39,10 @@ func failf(format string, args ...any) {
 // Frame assigns SAT variables to a set of ts variables at one point in
 // time. Frames are created by Encoder.NewFrame.
 type Frame struct {
-	id   int
+	id   int32
 	vars []*expr.Var // declaration order, for deterministic iteration
 	bits map[*expr.Var]bv
+	memo memoTab // the nodes that read this frame alone
 }
 
 // bv is an offset bitvector: value = off + Σ bits[i]·2^i where each
@@ -52,32 +53,87 @@ type bv struct {
 }
 
 // Encoder compiles expressions to CNF incrementally.
+//
+// It numbers each distinct expression node once, the first time a
+// root reaching it is compiled, and memoizes a node's compilation under
+// the frames the node actually reads: a node over current-state
+// variables only is compiled once per current frame, whatever the next
+// frame, and one reading no variable is compiled once. The memo tables
+// are slices indexed by a node's slot among the nodes of its read
+// class — one table per frame for single-frame nodes, one per (cur,
+// next) pair for nodes reading both — so adding a frame hashes no
+// expression pointer. Below the node level, gateMemo hashes the gates
+// themselves, which shares structure across roots and frames.
 type Encoder struct {
 	S *sat.Solver
 
 	// Params, when set, resolves variables not found in a frame —
-	// parameters live in a single time-invariant frame.
+	// parameters live in a single time-invariant frame. Set it before
+	// compiling anything that reads a parameter.
 	Params *Frame
 
 	// Extern, when set, is consulted before compiling any boolean
 	// node; returning ok=true short-circuits with the given literal.
 	// The SMT layer uses this to claim real-valued comparisons as
-	// theory atoms while the finite structure stays in CNF.
+	// theory atoms while the finite structure stays in CNF. Set it
+	// before compiling anything: the hook may build fresh terms per
+	// (cur, next) pair, so an encoder with a hook keys every node by
+	// both frames.
 	Extern func(ex *expr.Expr, cur, next *Frame) (sat.Lit, bool)
 
 	trueLit sat.Lit
-	nextFid int
+	nextFid int32
 
-	boolMemo map[boolKey]sat.Lit
-	bvMemo   map[boolKey]bv
+	index   map[*expr.Expr]int32 // node number of every numbered expression
+	nodes   []node
+	args    []int32  // argument node numbers, sliced by node.lo/hi
+	pending []int32  // numbering scratch
+	slots   [3]int32 // slots handed out per read class: none, one frame, both
+
+	global   memoTab // nodes that read no frame
+	unbound  memoTab // single-frame nodes compiled against a nil frame
+	pairs    map[[2]int32]*memoTab
+	pairKey  [2]int32 // the last pair looked up, and its table
+	pairTab  *memoTab
 	gateMemo map[gateKey]sat.Lit
 	cardMemo map[cardKey][]sat.Lit
+
+	// Literal storage. Bitvector literals are carved from slab, a chunk
+	// that is replaced when full, so a bitvector costs no allocation of
+	// its own; stack is LIFO scratch for argument lists and andBuf and
+	// orBuf are the gate builders' operand buffers.
+	slab   []sat.Lit
+	stack  []sat.Lit
+	andBuf []sat.Lit
+	orBuf  []sat.Lit
 }
 
-type boolKey struct {
-	e        *expr.Expr
-	cur, nxt int
+// node is one numbered expression node.
+type node struct {
+	ex     *expr.Expr
+	lo, hi int32 // argument node numbers: Encoder.args[lo:hi]
+	reads  uint8 // readsCur | readsNext
+	class  uint8 // 0: reads no frame, 1: one frame, 2: both
+	slot   int32 // index into the memo tables of its class
 }
+
+const (
+	readsCur uint8 = 1 << iota
+	readsNext
+)
+
+// memoTab holds the compiled nodes of one memo key, indexed by slot.
+// A literal is stored plus one, so 0 means "not compiled"; a bitvector
+// is present when its lits slice is non-nil (see noLits).
+type memoTab struct {
+	lits []int32
+	bvs  []bv
+}
+
+// noLits marks a memoized bitvector without literal bits (a constant).
+var noLits = []sat.Lit{}
+
+const slabChunk = 4096
 
 type gateKey struct {
 	op      byte // '&', '|', '^', 'm' (majority), 'i' (ite)
@@ -85,8 +141,8 @@ type gateKey struct {
 }
 
 type cardKey struct {
-	e        *expr.Expr // the Count node
-	cur, nxt int
+	node     int32 // the Count node
+	cur, nxt int32 // the frames it reads, 0 for a frame it does not
 	k        int
 }
 
@@ -95,8 +151,9 @@ type cardKey struct {
 func NewEncoder(s *sat.Solver) *Encoder {
 	e := &Encoder{
 		S:        s,
-		boolMemo: make(map[boolKey]sat.Lit),
-		bvMemo:   make(map[boolKey]bv),
+		index:    make(map[*expr.Expr]int32),
+		pairs:    make(map[[2]int32]*memoTab),
+		pairKey:  [2]int32{-1, -1},
 		gateMemo: make(map[gateKey]sat.Lit),
 		cardMemo: make(map[cardKey][]sat.Lit),
 	}
@@ -113,6 +170,13 @@ func (e *Encoder) False() sat.Lit { return e.trueLit.Not() }
 
 // NewFrame allocates fresh SAT variables for every given ts variable
 // and asserts domain (range) constraints.
+//
+// The variables come in two batches of sat.Solver.NewVars rather than
+// one per bit. The split falls after the first variable with a domain
+// clause: adding that clause backtracks the solver to level 0, which
+// returns the trail's variables to the branching heap, so allocating
+// exactly the variables before it first keeps the heap — and every
+// later decision — as one-at-a-time allocation leaves it.
 func (e *Encoder) NewFrame(vars []*expr.Var) *Frame {
 	e.nextFid++
 	f := &Frame{
@@ -120,29 +184,61 @@ func (e *Encoder) NewFrame(vars []*expr.Var) *Frame {
 		vars: append([]*expr.Var(nil), vars...),
 		bits: make(map[*expr.Var]bv, len(vars)),
 	}
-	for _, v := range vars {
-		f.bits[v] = e.newVarBits(v.T)
+	split, head, total := len(vars), 0, 0
+	for i, v := range vars {
+		w := varWidth(v.T)
+		total += w
+		if split == len(vars) && v.T.Kind != expr.KindBool && domainClauses(v.T, w) {
+			split, head = i+1, total
+		}
 	}
+	if split == len(vars) {
+		head = total
+	}
+	lits := e.carve(total)
+	e.bind(f, vars[:split], lits[:head])
+	e.bind(f, vars[split:], lits[head:])
 	return f
 }
 
-func (e *Encoder) newVarBits(t expr.Type) bv {
+// bind allocates the bits of vars, lits in all, and asserts their
+// domain constraints.
+func (e *Encoder) bind(f *Frame, vars []*expr.Var, lits []sat.Lit) {
+	first := e.S.NewVars(len(lits))
+	for i := range lits {
+		lits[i] = sat.Pos(first + i)
+	}
+	for _, v := range vars {
+		w := varWidth(v.T)
+		b := bv{lits: lits[:w:w]}
+		lits = lits[w:]
+		if v.T.Kind != expr.KindBool {
+			lo, hi := domainBounds(v.T)
+			b.off = lo
+			if w == 0 {
+				b.lits = nil // singleton domain, no bits
+			}
+			e.assertLeConst(b.lits, uint64(hi-lo))
+		}
+		f.bits[v] = b
+	}
+}
+
+// domainClauses reports whether an integer or enum variable of type t,
+// w bits wide, needs clauses to exclude values past its domain.
+func domainClauses(t expr.Type, w int) bool {
+	lo, hi := domainBounds(t)
+	return uint64(hi-lo) < (1<<uint(w))-1
+}
+
+// varWidth is the number of SAT variables a variable of type t takes.
+func varWidth(t expr.Type) int {
 	switch t.Kind {
 	case expr.KindBool:
-		return bv{lits: []sat.Lit{sat.Pos(e.S.NewVar())}}
+		return 1
 	case expr.KindInt, expr.KindEnum:
 		lo, hi := domainBounds(t)
-		span := uint64(hi - lo)
-		w := bits.Len64(span)
-		if w == 0 {
-			return bv{off: lo} // singleton domain, no bits
-		}
-		ls := make([]sat.Lit, w)
-		for i := range ls {
-			ls[i] = sat.Pos(e.S.NewVar())
-		}
-		e.assertLeConst(ls, span)
-		return bv{lits: ls, off: lo}
+		return bits.Len64(uint64(hi - lo))
 	}
 	failf("cannot allocate SAT bits for %s-typed variable", t)
 	panic("unreachable")
@@ -169,14 +265,29 @@ func (e *Encoder) assertLeConst(ls []sat.Lit, c uint64) {
 			continue
 		}
 		// If all higher bits where c has a 1 are set, bit i must be 0.
-		clause := []sat.Lit{ls[i].Not()}
+		base := len(e.stack)
+		e.stack = append(e.stack, ls[i].Not())
 		for j := i + 1; j < len(ls); j++ {
 			if c>>uint(j)&1 == 1 {
-				clause = append(clause, ls[j].Not())
+				e.stack = append(e.stack, ls[j].Not())
 			}
 		}
-		e.S.AddClause(clause...)
+		e.S.AddClause(e.stack[base:]...)
+		e.stack = e.stack[:base]
 	}
+}
+
+// carve returns n literals of slab storage for the caller to fill. The
+// slice's capacity is n, so appending to it never reaches a neighbour.
+// Chunks double from a small first one up to slabChunk, so an encoder
+// of a small model holds little.
+func (e *Encoder) carve(n int) []sat.Lit {
+	if cap(e.slab)-len(e.slab) < n {
+		e.slab = make([]sat.Lit, 0, max(min(2*cap(e.slab), slabChunk), n, 64))
+	}
+	l := len(e.slab)
+	e.slab = e.slab[:l+n]
+	return e.slab[l : l+n : l+n]
 }
 
 // Assert adds the boolean expression as a hard constraint, with cur
@@ -190,16 +301,94 @@ func (e *Encoder) Lit(ex *expr.Expr, cur, next *Frame) sat.Lit {
 	if ex.Type().Kind != expr.KindBool {
 		failf("Lit on %s-typed expression", ex.Type())
 	}
-	key := boolKey{ex, frameID(cur), frameID(next)}
-	if l, ok := e.boolMemo[key]; ok {
-		return l
+	return e.lit(e.number(ex), cur, next)
+}
+
+// number returns ex's node number, numbering ex and every node below
+// it that has none yet. A node reads the union of what its arguments
+// read; next(v) reads the next frame and nothing else.
+func (e *Encoder) number(ex *expr.Expr) int32 {
+	if i, ok := e.index[ex]; ok {
+		return i
 	}
-	l := e.compileBool(ex, cur, next)
-	e.boolMemo[key] = l
+	base := len(e.pending)
+	var reads uint8
+	switch ex.Op {
+	case expr.OpVar:
+		reads = readsCur
+	case expr.OpNext:
+		reads = readsNext
+	default:
+		for _, a := range ex.Args {
+			j := e.number(a)
+			e.pending = append(e.pending, j)
+			reads |= e.nodes[j].reads
+		}
+	}
+	if e.Extern != nil {
+		reads = readsCur | readsNext
+	}
+	var class uint8
+	switch reads {
+	case readsCur, readsNext:
+		class = 1
+	case readsCur | readsNext:
+		class = 2
+	}
+	i, lo := int32(len(e.nodes)), int32(len(e.args))
+	e.args = append(e.args, e.pending[base:]...)
+	e.pending = e.pending[:base]
+	e.nodes = append(e.nodes, node{ex: ex, lo: lo, hi: int32(len(e.args)), reads: reads, class: class, slot: e.slots[class]})
+	e.slots[class]++
+	e.index[ex] = i
+	return i
+}
+
+// tab returns the memo table node n's compilation under (cur, next)
+// lives in.
+func (e *Encoder) tab(n *node, cur, next *Frame) *memoTab {
+	switch n.reads {
+	case 0:
+		return &e.global
+	case readsCur:
+		return e.frameTab(cur)
+	case readsNext:
+		return e.frameTab(next)
+	}
+	k := [2]int32{frameID(cur), frameID(next)}
+	if k != e.pairKey {
+		t := e.pairs[k]
+		if t == nil {
+			t = &memoTab{}
+			e.pairs[k] = t
+		}
+		e.pairKey, e.pairTab = k, t
+	}
+	return e.pairTab
+}
+
+func (e *Encoder) frameTab(f *Frame) *memoTab {
+	if f == nil {
+		return &e.unbound
+	}
+	return &f.memo
+}
+
+func (e *Encoder) lit(i int32, cur, next *Frame) sat.Lit {
+	n := e.nodes[i]
+	t := e.tab(&n, cur, next)
+	if int(n.slot) < len(t.lits) && t.lits[n.slot] != 0 {
+		return sat.Lit(t.lits[n.slot] - 1)
+	}
+	l := e.compileBool(i, cur, next)
+	if int(n.slot) >= len(t.lits) {
+		t.lits = append(t.lits, make([]int32, int(e.slots[n.class])-len(t.lits))...)
+	}
+	t.lits[n.slot] = int32(l) + 1
 	return l
 }
 
-func frameID(f *Frame) int {
+func frameID(f *Frame) int32 {
 	if f == nil {
 		return 0
 	}
@@ -228,7 +417,21 @@ func (e *Encoder) varBits(v *expr.Var, f *Frame, what string) bv {
 	return b
 }
 
-func (e *Encoder) compileBool(ex *expr.Expr, cur, next *Frame) sat.Lit {
+// litArgs compiles the given argument nodes onto the scratch stack and
+// returns them there with the stack's previous height; the caller
+// consumes them and truncates the stack back to base.
+func (e *Encoder) litArgs(args []int32, cur, next *Frame) (ls []sat.Lit, base int) {
+	base = len(e.stack)
+	for _, a := range args {
+		l := e.lit(a, cur, next)
+		e.stack = append(e.stack, l)
+	}
+	return e.stack[base:], base
+}
+
+func (e *Encoder) compileBool(i int32, cur, next *Frame) sat.Lit {
+	n := e.nodes[i]
+	ex, args := n.ex, e.args[n.lo:n.hi]
 	if e.Extern != nil {
 		if l, ok := e.Extern(ex, cur, next); ok {
 			return l
@@ -245,50 +448,49 @@ func (e *Encoder) compileBool(ex *expr.Expr, cur, next *Frame) sat.Lit {
 	case expr.OpNext:
 		return e.varBits(ex.V, next, "next").lits[0]
 	case expr.OpNot:
-		return e.Lit(ex.Args[0], cur, next).Not()
-	case expr.OpAnd:
-		ls := make([]sat.Lit, len(ex.Args))
-		for i, a := range ex.Args {
-			ls[i] = e.Lit(a, cur, next)
+		return e.lit(args[0], cur, next).Not()
+	case expr.OpAnd, expr.OpOr:
+		ls, base := e.litArgs(args, cur, next)
+		var l sat.Lit
+		if ex.Op == expr.OpAnd {
+			l = e.mkAndN(ls)
+		} else {
+			l = e.mkOrN(ls)
 		}
-		return e.mkAndN(ls)
-	case expr.OpOr:
-		ls := make([]sat.Lit, len(ex.Args))
-		for i, a := range ex.Args {
-			ls[i] = e.Lit(a, cur, next)
-		}
-		return e.mkOrN(ls)
+		e.stack = e.stack[:base]
+		return l
 	case expr.OpImplies:
-		return e.mkOrN([]sat.Lit{e.Lit(ex.Args[0], cur, next).Not(), e.Lit(ex.Args[1], cur, next)})
+		a := e.lit(args[0], cur, next)
+		return e.mkOrN([]sat.Lit{a.Not(), e.lit(args[1], cur, next)})
 	case expr.OpIff:
-		return e.mkXor(e.Lit(ex.Args[0], cur, next), e.Lit(ex.Args[1], cur, next)).Not()
+		a := e.lit(args[0], cur, next)
+		return e.mkXor(a, e.lit(args[1], cur, next)).Not()
 	case expr.OpXor:
-		return e.mkXor(e.Lit(ex.Args[0], cur, next), e.Lit(ex.Args[1], cur, next))
+		a := e.lit(args[0], cur, next)
+		return e.mkXor(a, e.lit(args[1], cur, next))
 	case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-		return e.compileCompare(ex, cur, next)
+		return e.compileCompare(ex, args, cur, next)
 	}
 	failf("cannot compile boolean op %v (expression %s)", ex.Op, ex)
 	panic("unreachable")
 }
 
-func (e *Encoder) compileCompare(ex *expr.Expr, cur, next *Frame) sat.Lit {
-	a, b := ex.Args[0], ex.Args[1]
+func (e *Encoder) compileCompare(ex *expr.Expr, args []int32, cur, next *Frame) sat.Lit {
 	// Boolean/enum equality.
-	if a.Type().Kind == expr.KindEnum {
-		av := e.BV(a, cur, next)
-		bvv := e.BV(b, cur, next)
-		eq := e.mkEqBV(av, bvv)
+	if ex.Args[0].Type().Kind == expr.KindEnum {
+		av := e.bvOf(args[0], cur, next)
+		eq := e.mkEqBV(av, e.bvOf(args[1], cur, next))
 		if ex.Op == expr.OpNe {
 			return eq.Not()
 		}
 		return eq
 	}
 	// Cardinality special case: Count(...) ⋈ const (either side).
-	if l, ok := e.tryCardinality(ex, cur, next); ok {
+	if l, ok := e.tryCardinality(ex, args, cur, next); ok {
 		return l
 	}
-	av := e.BV(a, cur, next)
-	bvv := e.BV(b, cur, next)
+	av := e.bvOf(args[0], cur, next)
+	bvv := e.bvOf(args[1], cur, next)
 	switch ex.Op {
 	case expr.OpEq:
 		return e.mkEqBV(av, bvv)
@@ -308,18 +510,35 @@ func (e *Encoder) compileCompare(ex *expr.Expr, cur, next *Frame) sat.Lit {
 
 // --- integer expressions ---
 
-// BV compiles a finite-domain expression to an offset bitvector.
-func (e *Encoder) BV(ex *expr.Expr, cur, next *Frame) bv {
-	key := boolKey{ex, frameID(cur), frameID(next)}
-	if b, ok := e.bvMemo[key]; ok {
-		return b
+// bvOf compiles a finite-domain node to an offset bitvector.
+func (e *Encoder) bvOf(i int32, cur, next *Frame) bv {
+	n := e.nodes[i]
+	t := e.tab(&n, cur, next)
+	if int(n.slot) < len(t.bvs) && t.bvs[n.slot].lits != nil {
+		return t.bvs[n.slot]
 	}
-	b := e.compileBV(ex, cur, next)
-	e.bvMemo[key] = b
+	b := e.compileBV(i, cur, next)
+	if int(n.slot) >= len(t.bvs) {
+		t.bvs = append(t.bvs, make([]bv, int(e.slots[n.class])-len(t.bvs))...)
+	}
+	stored := b
+	if stored.lits == nil {
+		stored.lits = noLits
+	}
+	t.bvs[n.slot] = stored
 	return b
 }
 
-func (e *Encoder) compileBV(ex *expr.Expr, cur, next *Frame) bv {
+// one carves a one-bit literal vector holding l.
+func (e *Encoder) one(l sat.Lit) []sat.Lit {
+	ls := e.carve(1)
+	ls[0] = l
+	return ls
+}
+
+func (e *Encoder) compileBV(i int32, cur, next *Frame) bv {
+	n := e.nodes[i]
+	ex, args := n.ex, e.args[n.lo:n.hi]
 	switch ex.Op {
 	case expr.OpConst:
 		switch ex.Val.Kind {
@@ -329,7 +548,7 @@ func (e *Encoder) compileBV(ex *expr.Expr, cur, next *Frame) bv {
 			return bv{off: int64(ex.Type().EnumIndex(ex.Val.Sym))}
 		case expr.KindBool:
 			if ex.Val.B {
-				return bv{lits: []sat.Lit{e.trueLit}}
+				return bv{lits: e.one(e.trueLit)}
 			}
 			return bv{}
 		}
@@ -338,34 +557,35 @@ func (e *Encoder) compileBV(ex *expr.Expr, cur, next *Frame) bv {
 	case expr.OpNext:
 		return e.varBits(ex.V, next, "next")
 	case expr.OpAdd:
-		acc := e.BV(ex.Args[0], cur, next)
-		for _, a := range ex.Args[1:] {
-			acc = e.mkAddBV(acc, e.BV(a, cur, next))
+		acc := e.bvOf(args[0], cur, next)
+		for _, a := range args[1:] {
+			acc = e.mkAddBV(acc, e.bvOf(a, cur, next))
 		}
 		return acc
 	case expr.OpSub:
-		return e.mkAddBV(e.BV(ex.Args[0], cur, next), negBV(e.BV(ex.Args[1], cur, next)))
+		a := e.bvOf(args[0], cur, next)
+		return e.mkAddBV(a, e.negBV(e.bvOf(args[1], cur, next)))
 	case expr.OpNeg:
-		return negBV(e.BV(ex.Args[0], cur, next))
+		return e.negBV(e.bvOf(args[0], cur, next))
 	case expr.OpMul:
-		acc := e.BV(ex.Args[0], cur, next)
-		for _, a := range ex.Args[1:] {
-			acc = e.mkMulBV(acc, e.BV(a, cur, next))
+		acc := e.bvOf(args[0], cur, next)
+		for _, a := range args[1:] {
+			acc = e.mkMulBV(acc, e.bvOf(a, cur, next))
 		}
 		return acc
 	case expr.OpIte:
-		c := e.Lit(ex.Args[0], cur, next)
-		return e.mkIteBV(c, e.BV(ex.Args[1], cur, next), e.BV(ex.Args[2], cur, next))
+		c := e.lit(args[0], cur, next)
+		a := e.bvOf(args[1], cur, next)
+		return e.mkIteBV(c, a, e.bvOf(args[2], cur, next))
 	case expr.OpCount:
-		ls := make([]sat.Lit, len(ex.Args))
-		for i, a := range ex.Args {
-			ls[i] = e.Lit(a, cur, next)
-		}
-		return e.mkPopcount(ls)
+		ls, base := e.litArgs(args, cur, next)
+		b := e.mkPopcount(ls)
+		e.stack = e.stack[:base]
+		return b
 	}
 	if ex.Type().Kind == expr.KindBool {
 		// A boolean used in an integer context (e.g. via Ite branches).
-		return bv{lits: []sat.Lit{e.Lit(ex, cur, next)}}
+		return bv{lits: e.one(e.lit(i, cur, next))}
 	}
 	failf("cannot bit-blast op %v in %s", ex.Op, ex)
 	panic("unreachable")
@@ -373,8 +593,8 @@ func (e *Encoder) compileBV(ex *expr.Expr, cur, next *Frame) bv {
 
 // negBV negates an offset bitvector: -(off + U) where U has width w is
 // (-off - (2^w - 1)) + ~U, and ~U is just literal negation.
-func negBV(a bv) bv {
-	ls := make([]sat.Lit, len(a.lits))
+func (e *Encoder) negBV(a bv) bv {
+	ls := e.carve(len(a.lits))
 	for i, l := range a.lits {
 		ls[i] = l.Not()
 	}
@@ -397,15 +617,14 @@ func (e *Encoder) mkAddBV(a, b bv) bv {
 	if len(b.lits) > w {
 		w = len(b.lits)
 	}
-	sum := make([]sat.Lit, 0, w+1)
+	sum := e.carve(w + 1)
 	carry := e.False()
 	for i := 0; i < w; i++ {
 		ai, bi := e.bitAt(a, i), e.bitAt(b, i)
-		s := e.mkXor(e.mkXor(ai, bi), carry)
+		sum[i] = e.mkXor(e.mkXor(ai, bi), carry)
 		carry = e.mkMaj(ai, bi, carry)
-		sum = append(sum, s)
 	}
-	sum = append(sum, carry)
+	sum[w] = carry
 	return bv{lits: sum, off: a.off + b.off}
 }
 
@@ -452,14 +671,14 @@ func (e *Encoder) mkMulBV(a, b bv) bv {
 		}
 	}
 	if neg {
-		acc = negBV(acc)
+		acc = e.negBV(acc)
 	}
 	acc.off += a.off * b.off
 	return acc
 }
 
 func (e *Encoder) shiftBV(a bv, n int) bv {
-	ls := make([]sat.Lit, n+len(a.lits))
+	ls := e.carve(n + len(a.lits))
 	for i := 0; i < n; i++ {
 		ls[i] = e.False()
 	}
@@ -481,7 +700,7 @@ func (e *Encoder) mkIteBV(c sat.Lit, a, b bv) bv {
 	if len(b.lits) > w {
 		w = len(b.lits)
 	}
-	ls := make([]sat.Lit, w)
+	ls := e.carve(w)
 	for i := 0; i < w; i++ {
 		ls[i] = e.mkIte(c, e.bitAt(a, i), e.bitAt(b, i))
 	}
@@ -498,25 +717,21 @@ func (e *Encoder) rebase(a bv, newOff int64) bv {
 	if d < 0 {
 		panic("cnf: rebase must lower the offset")
 	}
-	constBits := constBV(d, e)
-	r := e.mkAddBV(bv{lits: a.lits}, constBits)
+	r := e.mkAddBV(bv{lits: a.lits}, e.constBV(d))
 	r.off = newOff
 	return r
 }
 
-func constBV(k int64, e *Encoder) bv {
+func (e *Encoder) constBV(k int64) bv {
 	if k < 0 {
 		panic("cnf: constBV negative")
 	}
-	var ls []sat.Lit
-	for i := 0; i < 63; i++ {
-		if k>>uint(i) == 0 {
-			break
-		}
+	ls := e.carve(bits.Len64(uint64(k)))
+	for i := range ls {
 		if k>>uint(i)&1 == 1 {
-			ls = append(ls, e.trueLit)
+			ls[i] = e.trueLit
 		} else {
-			ls = append(ls, e.False())
+			ls[i] = e.False()
 		}
 	}
 	return bv{lits: ls}
@@ -547,7 +762,7 @@ func (e *Encoder) mkLeBV(a, b bv) sat.Lit {
 // comparison is statically false (C < 0).
 func (e *Encoder) diffSum(a, b bv) ([]sat.Lit, int64, bool) {
 	wb := len(b.lits)
-	nb := negBV(b) // bits = ~U_b, off = -b.off - (2^wb - 1)
+	nb := e.negBV(b) // bits = ~U_b, off = -b.off - (2^wb - 1)
 	var spanB int64
 	if wb > 0 {
 		spanB = int64(1)<<uint(wb) - 1
@@ -584,15 +799,16 @@ func (e *Encoder) mkEqConst(ls []sat.Lit, c uint64) sat.Lit {
 	if c >= 1<<uint(len(ls)) {
 		return e.False()
 	}
-	match := make([]sat.Lit, len(ls))
+	base := len(e.stack)
 	for i, l := range ls {
-		if c>>uint(i)&1 == 1 {
-			match[i] = l
-		} else {
-			match[i] = l.Not()
+		if c>>uint(i)&1 == 0 {
+			l = l.Not()
 		}
+		e.stack = append(e.stack, l)
 	}
-	return e.mkAndN(match)
+	g := e.mkAndN(e.stack[base:])
+	e.stack = e.stack[:base]
+	return g
 }
 
 // mkPopcount sums single-bit values with a balanced adder tree.
@@ -602,7 +818,7 @@ func (e *Encoder) mkPopcount(ls []sat.Lit) bv {
 	}
 	vecs := make([]bv, len(ls))
 	for i, l := range ls {
-		vecs[i] = bv{lits: []sat.Lit{l}}
+		vecs[i] = bv{lits: e.one(l)}
 	}
 	for len(vecs) > 1 {
 		var nextLevel []bv
@@ -619,8 +835,10 @@ func (e *Encoder) mkPopcount(ls []sat.Lit) bv {
 
 // --- gates ---
 
+// mkAndN and mkOrN build their operand lists in andBuf and orBuf;
+// neither reaches back into the other's buffer or into itself.
 func (e *Encoder) mkAndN(ls []sat.Lit) sat.Lit {
-	out := make([]sat.Lit, 0, len(ls))
+	out := e.andBuf[:0]
 	for _, l := range ls {
 		if l == e.trueLit {
 			continue
@@ -630,6 +848,7 @@ func (e *Encoder) mkAndN(ls []sat.Lit) sat.Lit {
 		}
 		out = append(out, l)
 	}
+	e.andBuf = out
 	switch len(out) {
 	case 0:
 		return e.trueLit
@@ -644,10 +863,11 @@ func (e *Encoder) mkAndN(ls []sat.Lit) sat.Lit {
 }
 
 func (e *Encoder) mkOrN(ls []sat.Lit) sat.Lit {
-	neg := make([]sat.Lit, len(ls))
-	for i, l := range ls {
-		neg[i] = l.Not()
+	neg := e.orBuf[:0]
+	for _, l := range ls {
+		neg = append(neg, l.Not())
 	}
+	e.orBuf = neg
 	return e.mkAndN(neg).Not()
 }
 
@@ -798,16 +1018,16 @@ func (e *Encoder) OrLits(ls ...sat.Lit) sat.Lit { return e.mkOrN(ls) }
 
 // tryCardinality recognizes Count(bits) ⋈ constant comparisons and
 // compiles them with a sequential counter.
-func (e *Encoder) tryCardinality(ex *expr.Expr, cur, next *Frame) (sat.Lit, bool) {
+func (e *Encoder) tryCardinality(ex *expr.Expr, args []int32, cur, next *Frame) (sat.Lit, bool) {
 	a, b := ex.Args[0], ex.Args[1]
 	op := ex.Op
-	var cnt *expr.Expr
+	var cnt int32
 	var k int64
 	switch {
 	case a.Op == expr.OpCount && b.Op == expr.OpConst && b.Val.Kind == expr.KindInt:
-		cnt, k = a, b.Val.I
+		cnt, k = args[0], b.Val.I
 	case b.Op == expr.OpCount && a.Op == expr.OpConst && a.Val.Kind == expr.KindInt:
-		cnt, k = b, a.Val.I
+		cnt, k = args[1], a.Val.I
 		// Mirror the comparison: const ⋈ count  ==>  count ⋈' const.
 		switch op {
 		case expr.OpLt:
@@ -822,7 +1042,7 @@ func (e *Encoder) tryCardinality(ex *expr.Expr, cur, next *Frame) (sat.Lit, bool
 	default:
 		return 0, false
 	}
-	n := int64(len(cnt.Args))
+	n := int64(len(e.nodes[cnt].ex.Args))
 	// Normalize to atLeast(j) primitives.
 	atLeast := func(j int64) sat.Lit {
 		if j <= 0 {
@@ -853,34 +1073,38 @@ func (e *Encoder) tryCardinality(ex *expr.Expr, cur, next *Frame) (sat.Lit, bool
 
 // seqCounter builds sequential-counter outputs out[j-1] ("at least j of
 // the count's arguments are true") for j = 1..maxJ, memoized per
-// (count node, frames, maxJ).
-func (e *Encoder) seqCounter(cnt *expr.Expr, cur, next *Frame, maxJ int) []sat.Lit {
-	key := cardKey{cnt, frameID(cur), frameID(next), maxJ}
+// (count node, the frames it reads, maxJ).
+func (e *Encoder) seqCounter(cnt int32, cur, next *Frame, maxJ int) []sat.Lit {
+	nd := e.nodes[cnt]
+	key := cardKey{node: cnt, k: maxJ}
+	if nd.reads&readsCur != 0 {
+		key.cur = frameID(cur)
+	}
+	if nd.reads&readsNext != 0 {
+		key.nxt = frameID(next)
+	}
 	if outs, ok := e.cardMemo[key]; ok {
 		return outs
 	}
-	n := len(cnt.Args)
-	xs := make([]sat.Lit, n)
-	for i, a := range cnt.Args {
-		xs[i] = e.Lit(a, cur, next)
-	}
+	xs, base := e.litArgs(e.args[nd.lo:nd.hi], cur, next)
 	// s[j-1] after processing i bits == at least j of the first i true.
-	row := make([]sat.Lit, maxJ)
+	row := e.carve(maxJ)
 	for j := range row {
 		row[j] = e.False()
 	}
-	for i := 0; i < n; i++ {
-		newRow := make([]sat.Lit, maxJ)
+	for _, x := range xs {
+		newRow := e.carve(maxJ)
 		for j := 0; j < maxJ; j++ {
 			prev := e.trueLit
 			if j > 0 {
 				prev = row[j-1]
 			}
 			// newRow[j] = row[j] | (x_i & prev)
-			newRow[j] = e.mkOrN([]sat.Lit{row[j], e.mkAndN([]sat.Lit{xs[i], prev})})
+			newRow[j] = e.mkOrN([]sat.Lit{row[j], e.mkAndN([]sat.Lit{x, prev})})
 		}
 		row = newRow
 	}
+	e.stack = e.stack[:base]
 	e.cardMemo[key] = row
 	return row
 }
@@ -915,13 +1139,16 @@ func (e *Encoder) Model(f *Frame, v *expr.Var) expr.Value {
 // EqFrames returns a literal true iff every variable common to both
 // frames has equal value — used for lasso loop closure in BMC.
 func (e *Encoder) EqFrames(a, b *Frame) sat.Lit {
-	var conj []sat.Lit
+	base := len(e.stack)
 	for _, v := range a.vars {
 		bb, ok := b.bits[v]
 		if !ok {
 			continue
 		}
-		conj = append(conj, e.mkEqBV(a.bits[v], bb))
+		l := e.mkEqBV(a.bits[v], bb)
+		e.stack = append(e.stack, l)
 	}
-	return e.mkAndN(conj)
+	g := e.mkAndN(e.stack[base:])
+	e.stack = e.stack[:base]
+	return g
 }

@@ -174,7 +174,8 @@ func TestCountAdderTreeFallback(t *testing.T) {
 	}
 	ex := expr.Le(expr.Count(refs...), vars[5].Ref())
 	enc := NewEncoder(sat.New())
-	if _, ok := enc.tryCardinality(ex, enc.NewFrame(vars), nil); ok {
+	i := enc.number(ex)
+	if _, ok := enc.tryCardinality(ex, enc.args[enc.nodes[i].lo:enc.nodes[i].hi], enc.NewFrame(vars), nil); ok {
 		t.Fatal("count <= y took the sequential counter; the test must reach the adder tree")
 	}
 	checkAgainstEval(t, ex, vars)

@@ -46,9 +46,21 @@ type unroller struct {
 	// depth instead of re-blasting. Folded into Stats.IncrementalReuses.
 	reuses int64
 	coop   *coopBus
+
+	// encodeTime is the time spent building CNF: construction, every
+	// extend, and the queries the engine encodes (see encoded);
+	// solveTime is the time spent in solve. Folded into Stats.
+	encodeTime, solveTime time.Duration
 }
 
-func newUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unroller, error) {
+// newUnroller blasts sys at depth k: frames 0..k with INVAR at every
+// frame and TRANS along the chain, and with INIT at frame 0 when init
+// is set — without it the chain starts anywhere, as an induction step
+// needs. finite says whether sys is finite (the caller has vetted it),
+// which picks a plain SAT solver over an SMT context. The unrolling
+// grows with extend, so depth k+1 keeps the clause database of depth k.
+func newUnroller(sys *ts.System, k int, init, finite bool, opts Options, start time.Time) *unroller {
+	t := time.Now()
 	u := &unroller{sys: sys, coop: opts.coop}
 	for _, v := range sys.Vars() {
 		if v.T.Finite() {
@@ -64,7 +76,7 @@ func newUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unrolle
 			u.realParams = append(u.realParams, p)
 		}
 	}
-	if sys.Finite() {
+	if finite {
 		u.sats = sat.New()
 		u.enc = cnf.NewEncoder(u.sats)
 	} else {
@@ -82,43 +94,8 @@ func newUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unrolle
 	}
 	u.benc = ltl.NewBoundedEncoder(u.enc, u.frames)
 
-	// INIT at frame 0, INVAR everywhere, TRANS along the chain.
-	u.enc.Assert(sys.InitExpr(), u.frames[0], nil)
-	invar := sys.InvarExpr()
-	for i := 0; i <= k; i++ {
-		u.enc.Assert(invar, u.frames[i], nil)
-	}
-	tr := sys.TransExpr()
-	for i := 0; i < k; i++ {
-		u.enc.Assert(tr, u.frames[i], u.frames[i+1])
-	}
-	return u, nil
-}
-
-// newStepUnroller builds an unrolled chain WITHOUT the initial-state
-// constraint, for induction steps. Like newUnroller it is growable
-// with extend, so the induction step at depth k+1 keeps the clause
-// database of depth k.
-func newStepUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unroller, error) {
-	u := &unroller{sys: sys, coop: opts.coop}
-	for _, v := range sys.Vars() {
-		if v.T.Finite() {
-			u.finiteState = append(u.finiteState, v)
-		}
-	}
-	for _, p := range sys.Params() {
-		if p.T.Finite() {
-			u.finiteParams = append(u.finiteParams, p)
-		}
-	}
-	u.sats = sat.New()
-	u.enc = cnf.NewEncoder(u.sats)
-	u.sats.Interrupt = opts.interrupt(start)
-	u.sats.ConflictBudget = opts.Budget.SATConflicts
-	u.params = u.enc.NewFrame(u.finiteParams)
-	u.enc.Params = u.params
-	for i := 0; i <= k; i++ {
-		u.frames = append(u.frames, u.enc.NewFrame(u.finiteState))
+	if init {
+		u.enc.Assert(sys.InitExpr(), u.frames[0], nil)
 	}
 	invar := sys.InvarExpr()
 	for i := 0; i <= k; i++ {
@@ -128,8 +105,8 @@ func newStepUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unr
 	for i := 0; i < k; i++ {
 		u.enc.Assert(tr, u.frames[i], u.frames[i+1])
 	}
-	u.benc = ltl.NewBoundedEncoder(u.enc, u.frames)
-	return u, nil
+	u.encoded(t)
+	return u
 }
 
 // extend grows the unrolling by one frame: domain constraints come
@@ -140,7 +117,8 @@ func newStepUnroller(sys *ts.System, k int, opts Options, start time.Time) (*unr
 // The solver itself — clause database, learnt clauses, activities,
 // saved phases — carries over untouched; that carry-over is what
 // Stats.IncrementalReuses counts.
-func (u *unroller) extend() error {
+func (u *unroller) extend() {
+	t := time.Now()
 	k := len(u.frames)
 	f := u.enc.NewFrame(u.finiteState)
 	u.frames = append(u.frames, f)
@@ -151,7 +129,16 @@ func (u *unroller) extend() error {
 	if u.coop != nil {
 		u.coop.noteReuse()
 	}
-	return nil
+	u.encoded(t)
+}
+
+// encoded charges the time since t to encoding.
+func (u *unroller) encoded(t time.Time) { u.encodeTime += time.Since(t) }
+
+// litAt encodes the state predicate p at frame k.
+func (u *unroller) litAt(p *expr.Expr, k int) sat.Lit {
+	defer u.encoded(time.Now())
+	return u.enc.Lit(p, u.frames[k], nil)
 }
 
 // loopLit returns the literal closing the lasso: a transition from
@@ -160,12 +147,14 @@ func (u *unroller) extend() error {
 // variables of position l, which is exactly the bounded loop
 // semantics' requirement that position k+1 and position l coincide.
 func (u *unroller) loopLit(l int) sat.Lit {
+	defer u.encoded(time.Now())
 	k := len(u.frames) - 1
 	return u.enc.Lit(u.sys.TransExpr(), u.frames[k], u.frames[l])
 }
 
 // solve runs one assumption query against the retained solver state.
 func (u *unroller) solve(assumptions ...sat.Lit) sat.Status {
+	defer func(t time.Time) { u.solveTime += time.Since(t) }(time.Now())
 	if u.ctx != nil {
 		return u.ctx.Solve(assumptions...)
 	}

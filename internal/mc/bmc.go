@@ -31,13 +31,14 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 	// multiplication in TRANS) by panicking with a typed CompileError;
 	// this API boundary turns it back into an ordinary error.
 	defer recoverCompile(&err)
-	if err := sys.Validate(); err != nil {
+	finite, err := opts.vet(sys)
+	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	neg := ltl.Not(phi).NNF()
 	engine := "bmc"
-	if !sys.Finite() {
+	if !finite {
 		engine = "smt-bmc"
 	}
 	incremental := coSafety(neg)
@@ -52,13 +53,10 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 
 	var u *unroller
 	stats := &Stats{}
-	// finish folds the live solver's counters in and attaches the
-	// stats; every rebuilt-and-discarded solver was folded in already.
+	// finish folds the live unroller in and attaches the stats; every
+	// rebuilt-and-discarded one was folded in already.
 	finish := func(r *Result) *Result {
-		if u != nil {
-			stats.addSolver(u.sats)
-			stats.IncrementalReuses += u.reuses
-		}
+		stats.addUnroller(u)
 		r.Stats = stats
 		return r
 	}
@@ -67,17 +65,11 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 		if opts.expired(start) {
 			return finish(&Result{Status: Unknown, Engine: engine, Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
 		}
-		var err error
 		if u == nil || !incremental {
-			if u != nil {
-				stats.addSolver(u.sats)
-			}
-			u, err = newUnroller(sys, k, opts, start)
+			stats.addUnroller(u)
+			u = newUnroller(sys, k, true, finite, opts, start)
 		} else {
-			err = u.extend()
-		}
-		if err != nil {
-			return nil, err
+			u.extend()
 		}
 		if coop.bound() > k {
 			// Another engine already proved this depth clean; keep the
@@ -86,7 +78,10 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 			continue
 		}
 		// No-loop witness.
-		st := u.solve(u.benc.EncodeNoLoop(neg))
+		t := time.Now()
+		w := u.benc.EncodeNoLoop(neg)
+		u.encoded(t)
+		st := u.solve(w)
 		if st == sat.Sat {
 			return finish(&Result{
 				Status:  Violated,
@@ -107,7 +102,9 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 				if opts.expired(start) {
 					return finish(&Result{Status: Unknown, Engine: engine, Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
 				}
+				t := time.Now()
 				w := u.benc.EncodeLoop(neg, l)
+				u.encoded(t)
 				st := u.solve(w, u.loopLit(l))
 				if st == sat.Sat {
 					return finish(&Result{

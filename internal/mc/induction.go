@@ -27,15 +27,19 @@ import (
 // obligation is an assumption, never asserted). Under the portfolio's
 // cooperation bus, base cases already covered by a published "no
 // counterexample below k" bound are skipped, and clean base cases
-// publish their own bound back.
+// publish their own bound back. The base unrolling is built only when
+// a base case must be solved, directly at that depth, so in a race
+// where BMC's bound keeps ahead the INIT-rooted frames are blasted
+// once, by BMC.
 func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err error) {
 	// See BMC: unsupported input surfaces as a cnf.CompileError panic
 	// and is converted to an error here rather than crashing the caller.
 	defer recoverCompile(&err)
-	if err := sys.Validate(); err != nil {
+	finite, err := opts.vet(sys)
+	if err != nil {
 		return nil, err
 	}
-	if !sys.Finite() {
+	if !finite {
 		return nil, fmt.Errorf("mc: k-induction requires a finite system (got real-valued variables in %s)", sys.Name)
 	}
 	if p.Type().Kind != expr.KindBool || expr.HasNext(p) {
@@ -43,20 +47,15 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 	}
 	start := time.Now()
 	coop := opts.coop
+	notP := expr.Not(p)
 
 	stats := &Stats{}
 	var base, step *unroller
 	// finish folds both live solvers' counters exactly once, at the
 	// end — incremental solvers span all depths.
 	finish := func(r *Result) *Result {
-		if base != nil {
-			stats.addSolver(base.sats)
-			stats.IncrementalReuses += base.reuses
-		}
-		if step != nil {
-			stats.addSolver(step.sats)
-			stats.IncrementalReuses += step.reuses
-		}
+		stats.addUnroller(base)
+		stats.addUnroller(step)
 		r.Stats = stats
 		return r
 	}
@@ -65,22 +64,11 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		if opts.expired(start) {
 			return finish(&Result{Status: Unknown, Engine: "k-induction", Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
 		}
-		// Grow the unrollings to this depth: base holds frames 0..k
-		// (with INIT), step holds frames 0..k+1 (without INIT).
-		if base == nil {
-			if base, err = newUnroller(sys, 0, opts, start); err != nil {
-				return nil, err
-			}
-		} else if err := base.extend(); err != nil {
-			return nil, err
-		}
+		// Grow the step unrolling to frames 0..k+1 (without INIT).
 		if step == nil {
-			if step, err = newStepUnroller(sys, 1, opts, start); err != nil {
-				return nil, err
-			}
-			step.enc.Assert(p, step.frames[0], nil)
-		} else if err := step.extend(); err != nil {
-			return nil, err
+			step = newUnroller(sys, 1, false, true, opts, start)
+		} else {
+			step.extend()
 		}
 		// Frame k joined the step prefix this iteration: it must carry
 		// p, and the simple-path constraint makes it pairwise distinct
@@ -88,17 +76,24 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		// without it k-induction can loop forever on systems with
 		// unreachable p-cycles). Earlier pairs were added at earlier
 		// depths.
-		if k > 0 {
-			step.enc.Assert(p, step.frames[k], nil)
-			for i := 0; i < k; i++ {
-				step.sats.AddClause(step.enc.EqFrames(step.frames[i], step.frames[k]).Not())
-			}
+		t := time.Now()
+		step.enc.Assert(p, step.frames[k], nil)
+		for i := 0; i < k; i++ {
+			step.sats.AddClause(step.enc.EqFrames(step.frames[i], step.frames[k]).Not())
 		}
+		step.encoded(t)
 
 		// Base case: init path of k steps ending in ¬p — skipped when a
-		// published bound already covers this depth.
+		// published bound already covers this depth. The base unrolling
+		// (frames 0..k with INIT) is built or grown only here.
 		if coop.bound() <= k {
-			st := base.solve(base.enc.Lit(expr.Not(p), base.frames[k], nil))
+			if base == nil {
+				base = newUnroller(sys, k, true, true, opts, start)
+			}
+			for len(base.frames) <= k {
+				base.extend()
+			}
+			st := base.solve(base.litAt(notP, k))
 			switch st {
 			case sat.Sat:
 				return finish(&Result{
@@ -118,7 +113,7 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		}
 
 		// Induction step: p-states 0..k on a simple path, ¬p at k+1.
-		st := step.solve(step.enc.Lit(expr.Not(p), step.frames[k+1], nil))
+		st := step.solve(step.litAt(notP, k+1))
 		stats.DepthTime = append(stats.DepthTime, time.Since(depthStart))
 		switch st {
 		case sat.Unsat:

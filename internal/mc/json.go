@@ -96,6 +96,8 @@ type wireStats struct {
 	Restarts        int64    `json:"restarts,omitempty"`
 	BDDNodes        int      `json:"bdd_nodes,omitempty"`
 	DepthTimeNS     []int64  `json:"depth_time_ns,omitempty"`
+	EncodeTimeNS    int64    `json:"encode_time_ns,omitempty"`
+	SolveTimeNS     int64    `json:"solve_time_ns,omitempty"`
 	Racers          []string `json:"racers,omitempty"`
 	EngineErrors    []string `json:"engine_errors,omitempty"`
 	WitnessFailures int64    `json:"witness_failures,omitempty"`
@@ -115,6 +117,8 @@ func (st *Stats) MarshalJSON() ([]byte, error) {
 		Learnts:             st.Learnts,
 		Restarts:            st.Restarts,
 		BDDNodes:            st.BDDNodes,
+		EncodeTimeNS:        st.EncodeTime.Nanoseconds(),
+		SolveTimeNS:         st.SolveTime.Nanoseconds(),
 		Racers:              st.Racers,
 		EngineErrors:        st.EngineErrors,
 		WitnessFailures:     st.WitnessFailures,
@@ -141,6 +145,8 @@ func (st *Stats) UnmarshalJSON(data []byte) error {
 		Learnts:             w.Learnts,
 		Restarts:            w.Restarts,
 		BDDNodes:            w.BDDNodes,
+		EncodeTime:          time.Duration(w.EncodeTimeNS),
+		SolveTime:           time.Duration(w.SolveTimeNS),
 		Racers:              w.Racers,
 		EngineErrors:        w.EngineErrors,
 		WitnessFailures:     w.WitnessFailures,

@@ -102,7 +102,8 @@ func stateBits(sys *ts.System) int {
 // concludes, the fallback's Unknown is returned when it ran, else the
 // deepest Unknown; an error comes back only when every engine failed.
 func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) {
-	if err := sys.Validate(); err != nil {
+	finite, err := opts.vet(sys)
+	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -112,6 +113,10 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 	inner := opts
 	inner.Context = ctx
 	inner.coop = bus
+	inner.vetted = vettedReal
+	if finite {
+		inner.vetted = vettedFinite
+	}
 
 	type run struct {
 		name string
@@ -119,7 +124,7 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 	}
 	runs := []run{{"bmc", func(o Options) (*Result, error) { return BMC(sys, phi, o) }}}
 	var fallback *run
-	if sys.Finite() {
+	if finite {
 		p, inv := ltl.IsSafetyInvariant(phi)
 		if inv {
 			runs = append(runs, run{"k-induction", func(o Options) (*Result, error) {

@@ -15,6 +15,7 @@ import (
 
 	"verdict/internal/sat"
 	"verdict/internal/trace"
+	"verdict/internal/ts"
 	"verdict/internal/witness"
 )
 
@@ -86,6 +87,12 @@ type Stats struct {
 	// DepthTime records the wall time the engine spent at each unroll
 	// (BMC) or induction (k-induction) depth, index = depth.
 	DepthTime []time.Duration
+	// EncodeTime and SolveTime split a SAT-based engine's time into
+	// building CNF — unrolling construction and extension, and the
+	// encoding of each query — and searching in the solver, summed over
+	// every unrolling the engine used.
+	EncodeTime time.Duration
+	SolveTime  time.Duration
 	// Racers lists the engines a portfolio started, in start order; a
 	// fallback start is marked, as in "bdd(fallback)". Empty on
 	// single-engine checks.
@@ -115,13 +122,17 @@ type Stats struct {
 	InvariantsHandedOff int64
 }
 
-// addSolver folds a solver's counters into the stats. Call it exactly
-// once per solver, when the engine is done with it.
-func (st *Stats) addSolver(s *sat.Solver) {
-	if s == nil {
+// addUnroller folds an unroller's solver counters, reuses and phase
+// times into the stats. Call it exactly once per unroller, when the
+// engine is done with it; a nil unroller adds nothing.
+func (st *Stats) addUnroller(u *unroller) {
+	if u == nil {
 		return
 	}
-	ss := s.Stats()
+	st.IncrementalReuses += u.reuses
+	st.EncodeTime += u.encodeTime
+	st.SolveTime += u.solveTime
+	ss := u.sats.Stats()
 	st.Conflicts += ss.Conflicts
 	st.Decisions += ss.Decisions
 	st.Propagations += ss.Propagations
@@ -143,6 +154,10 @@ func (st *Stats) String() string {
 	}
 	if st.BDDNodes != 0 {
 		parts = append(parts, fmt.Sprintf("bdd: %d nodes", st.BDDNodes))
+	}
+	if st.EncodeTime != 0 || st.SolveTime != 0 {
+		parts = append(parts, fmt.Sprintf("phases: encode %v, solve %v",
+			st.EncodeTime.Round(time.Microsecond), st.SolveTime.Round(time.Microsecond)))
 	}
 	if len(st.DepthTime) > 0 {
 		var ds []string
@@ -272,6 +287,35 @@ type Options struct {
 	// bus and share nothing, and callers outside this package cannot
 	// set it.
 	coop *coopBus
+	// vetted is set by the portfolio, which validates the system once
+	// before the race: the engines it starts take the recorded
+	// finiteness instead of validating and walking the system again.
+	// Single-engine checks leave it unset and vet for themselves.
+	vetted vetting
+}
+
+// vetting records what the portfolio learned about the system.
+type vetting uint8
+
+const (
+	unvetted vetting = iota
+	vettedFinite
+	vettedReal // valid, with real-valued variables
+)
+
+// vet validates sys and reports whether it is finite, or returns what
+// the portfolio recorded when it already did both.
+func (o Options) vet(sys *ts.System) (finite bool, err error) {
+	switch o.vetted {
+	case vettedFinite:
+		return true, nil
+	case vettedReal:
+		return false, nil
+	}
+	if err := sys.Validate(); err != nil {
+		return false, err
+	}
+	return sys.Finite(), nil
 }
 
 func (o Options) maxDepth() int {

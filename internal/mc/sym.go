@@ -95,10 +95,11 @@ func NewSym(sys *ts.System, opts Options) (s *Sym, err error) {
 			}
 		}
 	}()
-	if err := sys.Validate(); err != nil {
+	finite, err := opts.vet(sys)
+	if err != nil {
 		return nil, err
 	}
-	if !sys.Finite() {
+	if !finite {
 		return nil, fmt.Errorf("mc: BDD engine requires a finite system (got real-valued variables in %s)", sys.Name)
 	}
 	s = &Sym{

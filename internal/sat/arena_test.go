@@ -10,9 +10,11 @@ import (
 // clause is watched exactly by its first two literals (binary clauses
 // on the binary lists), the learnt list names exactly the live learnt
 // clauses, and every reason on the trail is a live clause that implies
-// its literal.
+// its literal. The watch lists are read through their spans, which
+// auditSpans checks first.
 func auditArena(t *testing.T, s *Solver) {
 	t.Helper()
+	auditSpans(t, s)
 	live := map[int32]int{} // cref -> watchers seen
 	dead := map[int32]bool{}
 	deadWords, problem, learnt := 0, 0, 0
@@ -57,8 +59,8 @@ func auditArena(t *testing.T, s *Solver) {
 		if binary {
 			lists = s.binWatches
 		}
-		for l, ws := range lists {
-			for _, w := range ws {
+		for l, sp := range lists {
+			for _, w := range s.watchers(sp) {
 				if dead[w.cref] && !binary {
 					continue // dropped lazily by propagate or compact
 				}
@@ -105,6 +107,35 @@ func auditArena(t *testing.T, s *Solver) {
 	}
 }
 
+// auditSpans checks the watch buffer's layout: every span lies inside
+// wbuf with n <= cap, no two spans' rooms overlap, and the words
+// outside every room add up to s.holes.
+func auditSpans(t *testing.T, s *Solver) {
+	t.Helper()
+	if len(s.watches) != 2*s.NumVars() || len(s.binWatches) != 2*s.NumVars() {
+		t.Fatalf("%d long and %d binary spans for %d variables", len(s.watches), len(s.binWatches), s.NumVars())
+	}
+	owner := make([]int, len(s.wbuf)) // 1 + index of the span whose room holds the word
+	rooms := 0
+	for kind, lists := range [2][]span{s.binWatches, s.watches} {
+		for l, sp := range lists {
+			if sp.n < 0 || sp.n > sp.cap || sp.start < 0 || int(sp.start+sp.cap) > len(s.wbuf) {
+				t.Fatalf("span %+v of %v lies outside a %d-word buffer", sp, Lit(l), len(s.wbuf))
+			}
+			for i := sp.start; i < sp.start+sp.cap; i++ {
+				if owner[i] != 0 {
+					t.Fatalf("watch rooms overlap at word %d", i)
+				}
+				owner[i] = 1 + kind*len(lists) + l
+			}
+			rooms += int(sp.cap)
+		}
+	}
+	if holes := len(s.wbuf) - rooms; holes != s.holes {
+		t.Fatalf("watch buffer holds %d words outside every list, holes counter says %d", holes, s.holes)
+	}
+}
+
 // compactAndAudit reduces the learnt clauses and compacts the arena
 // wherever the solver stands, then checks that the arena holds only
 // live clauses and that no assignment changed.
@@ -124,6 +155,9 @@ func compactAndAudit(t *testing.T, s *Solver) {
 	}
 	if s.wasted != 0 || liveWords != len(s.arena) {
 		t.Fatalf("after compaction the arena holds %d words, %d of them live (wasted %d)", len(s.arena), liveWords, s.wasted)
+	}
+	if s.holes != 0 {
+		t.Fatalf("after compaction the watch buffer has %d holes", s.holes)
 	}
 	if len(s.trail) != len(before) {
 		t.Fatalf("compaction changed the trail: %d literals, had %d", len(s.trail), len(before))

@@ -117,18 +117,33 @@ type watcher struct {
 	blocker Lit // a literal of the clause; for a binary clause, the other one
 }
 
+// Every watch list, long and binary, lives in one pointer-free buffer,
+// Solver.wbuf, so that growing the solver by a frame's worth of
+// variables allocates a few slices the collector never scans. A span
+// names one literal's list: its watchers are wbuf[start:start+n], with
+// room for cap before the list must relocate. A list that outgrows its
+// room moves to the end of the buffer with twice the room, leaving a
+// hole behind. When the buffer itself is full and holes fill more than
+// a quarter of it, tidy packs the lists into a fresh buffer instead of
+// growing the old one; compact packs them too. Relocation and tidying
+// copy a list in order, so the order in which propagate visits
+// watchers is the append order.
+type span struct{ start, n, cap int32 }
+
 // Solver is an incremental CDCL SAT solver. The zero value is not
 // usable; call New.
 type Solver struct {
 	arena      []Lit
-	wasted     int         // arena words of deleted clauses, freed by compact
-	learnts    []int32     // crefs of the live learnt clauses
-	numProblem int         // live problem (non-learnt) clauses
-	watches    [][]watcher // clauses of three or more literals, indexed by Lit
-	binWatches [][]watcher // binary clauses, indexed by Lit
+	wasted     int     // arena words of deleted clauses, freed by compact
+	learnts    []int32 // crefs of the live learnt clauses
+	numProblem int     // live problem (non-learnt) clauses
+	wbuf       []watcher
+	holes      int    // wbuf words outside every span, reclaimed by tidy
+	watches    []span // clauses of three or more literals, indexed by Lit
+	binWatches []span // binary clauses, indexed by Lit
 
 	value    []LBool // indexed by Lit; value under current trail
-	level    []int   // decision level at which var was assigned
+	level    []int32 // decision level at which var was assigned
 	reason   []int32 // clause ref that implied var, or noReason
 	trail    []Lit
 	trailLim []int // trail index at each decision level
@@ -190,19 +205,45 @@ func New() *Solver {
 }
 
 // NewVar allocates a fresh variable and returns its index.
-func (s *Solver) NewVar() int {
+func (s *Solver) NewVar() int { return s.NewVars(1) }
+
+// NewVars allocates n fresh variables and returns the index of the
+// first; the others follow it densely. Allocating a batch grows every
+// per-variable array once, where n NewVar calls would grow each n
+// times; the variables, their order in the branching heap and
+// everything the solver later decides are the same either way.
+func (s *Solver) NewVars(n int) int {
 	v := s.NumVars()
-	s.value = append(s.value, Undef, Undef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, noReason)
-	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, false)
-	s.polarity = append(s.polarity, false)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
-	s.order.push(v, s.activity)
+	s.value = grow(s.value, 2*n)
+	s.level = grow(s.level, n)
+	s.reason = grow(s.reason, n)
+	for i := v; i < v+n; i++ {
+		s.reason[i] = noReason
+	}
+	s.activity = grow(s.activity, n)
+	s.phase = grow(s.phase, n)
+	s.polarity = grow(s.polarity, n)
+	s.seen = grow(s.seen, n)
+	s.watches = grow(s.watches, 2*n)
+	s.binWatches = grow(s.binWatches, 2*n)
+	s.order.grow(v + n)
+	for i := v; i < v+n; i++ {
+		s.order.push(i, s.activity)
+	}
 	return v
+}
+
+// grow extends s by n zeroed elements. When s must move it grows by
+// at least half, so an array grown frame by frame moves once every few
+// frames, not once per frame.
+func grow[T any](s []T, n int) []T {
+	l := len(s)
+	if cap(s)-l < n {
+		s = slices.Grow(s, max(n, l/2))
+	}
+	s = s[:l+n]
+	clear(s[l:])
+	return s
 }
 
 // NumVars returns the number of allocated variables.
@@ -284,10 +325,71 @@ func (s *Solver) attachClause(lits []Lit, learnt bool, lbd int) int32 {
 	if len(lits) == 2 {
 		ws = s.binWatches
 	}
-	ws[lits[0].Not()] = append(ws[lits[0].Not()], watcher{c, lits[1]})
-	ws[lits[1].Not()] = append(ws[lits[1].Not()], watcher{c, lits[0]})
+	s.watch(&ws[lits[0].Not()], watcher{c, lits[1]})
+	s.watch(&ws[lits[1].Not()], watcher{c, lits[0]})
 	return c
 }
+
+// watch appends w to the list sp names. It may move wbuf, so a caller
+// holding a slice of it must slice it again afterwards.
+func (s *Solver) watch(sp *span, w watcher) {
+	if sp.n == sp.cap {
+		s.relocate(sp)
+	}
+	s.wbuf[sp.start+sp.n] = w
+	sp.n++
+}
+
+// relocate moves a full list to the end of wbuf with twice its room.
+// When the buffer has no capacity left, it is tidied instead of grown
+// if holes fill more than a quarter of it; either way the buffer moves
+// to one of twice the size it needs, so that the solver makes few
+// large allocations (each leaves the heap a span to refill).
+func (s *Solver) relocate(sp *span) {
+	c := max(2*sp.cap, 2)
+	if len(s.wbuf)+int(c) > cap(s.wbuf) {
+		if s.holes > len(s.wbuf)/4 {
+			s.tidy(int(c))
+		} else {
+			s.wbuf = slices.Grow(s.wbuf, max(int(c), len(s.wbuf)))
+		}
+	}
+	if len(s.wbuf)+int(c) > math.MaxInt32 {
+		panic("sat: watch buffer exceeds 2^31 watchers")
+	}
+	start := int32(len(s.wbuf))
+	s.wbuf = s.wbuf[:start+c]
+	copy(s.wbuf[start:], s.wbuf[sp.start:sp.start+sp.n])
+	s.holes += int(sp.cap)
+	sp.start, sp.cap = start, c
+}
+
+// tidy packs every list into a fresh buffer, in literal order, binary
+// lists first, with capacity for twice the packed watchers plus extra.
+// A list keeps no room of its own: most lists of an unrolling stop
+// growing once their frame is blasted, and one that grows again
+// relocates.
+func (s *Solver) tidy(extra int) {
+	n := 0
+	for _, spans := range [2][]span{s.binWatches, s.watches} {
+		for _, sp := range spans {
+			n += int(sp.n)
+		}
+	}
+	buf := make([]watcher, 0, 2*n+extra)
+	for _, spans := range [2][]span{s.binWatches, s.watches} {
+		for i := range spans {
+			sp := &spans[i]
+			start := int32(len(buf))
+			buf = append(buf, s.wbuf[sp.start:sp.start+sp.n]...)
+			sp.start, sp.cap = start, sp.n
+		}
+	}
+	s.wbuf, s.holes = buf, 0
+}
+
+// watchers returns the list sp names, valid until the next watch.
+func (s *Solver) watchers(sp span) []watcher { return s.wbuf[sp.start : sp.start+sp.n] }
 
 func (s *Solver) clauseSize(c int32) int { return int(s.arena[c] >> sizeShift) }
 
@@ -307,7 +409,7 @@ func (s *Solver) setClauseActivity(c int32, a float32) {
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
 	s.value[l], s.value[l.Not()] = TrueV, FalseV
-	s.level[v] = s.decisionLevel()
+	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
@@ -342,7 +444,7 @@ func (s *Solver) propagate() int32 {
 		s.Propagations++
 		// Binary clauses: the blocker is the other literal, so no
 		// arena read.
-		for _, w := range s.binWatches[p] {
+		for _, w := range s.watchers(s.binWatches[p]) {
 			switch s.litValue(w.blocker) {
 			case FalseV:
 				s.qhead = len(s.trail)
@@ -352,7 +454,8 @@ func (s *Solver) propagate() int32 {
 			}
 		}
 		falseLit := p.Not()
-		ws := s.watches[p]
+		sp := &s.watches[p]
+		ws := s.watchers(*sp)
 		j := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
@@ -383,7 +486,11 @@ func (s *Solver) propagate() int32 {
 			for k := 2; k < len(lits); k++ {
 				if s.litValue(lits[k]) != FalseV {
 					lits[1], lits[k] = lits[k], falseLit
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], w)
+					// The new list is never p's own (lits[1] is not
+					// false), but the push may move or tidy the buffer,
+					// p's list with it.
+					s.watch(&s.watches[lits[1].Not()], w)
+					ws = s.watchers(*sp)
 					continue nextWatcher
 				}
 			}
@@ -393,13 +500,13 @@ func (s *Solver) propagate() int32 {
 			if s.litValue(first) == FalseV {
 				// Conflict: copy remaining watchers and bail.
 				j += copy(ws[j:], ws[i+1:])
-				s.watches[p] = ws[:j]
+				sp.n = int32(j)
 				s.qhead = len(s.trail)
 				return w.cref
 			}
 			s.uncheckedEnqueue(first, w.cref)
 		}
-		s.watches[p] = ws[:j]
+		sp.n = int32(j)
 	}
 	return noReason
 }
@@ -428,7 +535,7 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 			s.seen[v] = true
 			toClear = append(toClear, v)
 			s.bumpVar(v)
-			if s.level[v] >= s.decisionLevel() {
+			if int(s.level[v]) >= s.decisionLevel() {
 				counter++
 			} else {
 				learnt = append(learnt, q)
@@ -488,7 +595,7 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = s.level[learnt[1].Var()]
+		btLevel = int(s.level[learnt[1].Var()])
 	}
 	for _, v := range toClear {
 		s.seen[v] = false
@@ -503,7 +610,7 @@ func (s *Solver) lbd(lits []Lit) int {
 	s.stamp++
 	n := 0
 	for _, l := range lits {
-		lv := s.level[l.Var()]
+		lv := int(s.level[l.Var()])
 		if lv >= len(s.levelStamp) {
 			s.levelStamp = append(s.levelStamp, make([]int, lv+1-len(s.levelStamp))...)
 		}
@@ -572,10 +679,11 @@ func (s *Solver) reduceDB() {
 }
 
 // compact copies the live clauses into a fresh arena, in watch-list
-// order so that clauses watched together sit together, and drops the
-// watchers of deleted clauses. A moved clause's old header records its
-// new offset, which then rewrites the reasons on the trail and the
-// learnt list. It is safe at any decision level.
+// order so that clauses watched together sit together, drops the
+// watchers of deleted clauses and packs the watch buffer. A moved
+// clause's old header records its new offset, which then rewrites the
+// reasons on the trail and the learnt list. It is safe at any decision
+// level.
 func (s *Solver) compact() {
 	to := make([]Lit, 0, len(s.arena)-s.wasted)
 	move := func(c int32) int32 {
@@ -587,8 +695,9 @@ func (s *Solver) compact() {
 		s.arena[c] = ^Lit(n)
 		return n
 	}
-	for _, wss := range [2][][]watcher{s.binWatches, s.watches} {
-		for l, ws := range wss {
+	for _, spans := range [2][]span{s.binWatches, s.watches} {
+		for l := range spans {
+			ws := s.watchers(spans[l])
 			j := 0
 			for _, w := range ws {
 				if h := s.arena[w.cref]; h >= 0 && h&deletedBit != 0 {
@@ -597,7 +706,7 @@ func (s *Solver) compact() {
 				ws[j] = watcher{move(w.cref), w.blocker}
 				j++
 			}
-			wss[l] = ws[:j]
+			spans[l].n = int32(j)
 		}
 	}
 	for _, l := range s.trail {
@@ -609,6 +718,7 @@ func (s *Solver) compact() {
 		s.learnts[i] = move(c)
 	}
 	s.arena, s.wasted = to, 0
+	s.tidy(0)
 }
 
 // luby returns the x-th element of the Luby restart sequence
@@ -882,22 +992,33 @@ func (s *Solver) NumClauses() int { return s.numProblem }
 // --- activity-ordered heap ---
 
 type varHeap struct {
-	heap []int
-	pos  []int // var -> index in heap, -1 if absent
+	heap []int32
+	pos  []int32 // var -> index in heap, -1 if absent
 }
 
 func (h *varHeap) inHeap(v int) bool { return v < len(h.pos) && h.pos[v] >= 0 }
 
-func (h *varHeap) push(v int, act []float64) {
-	for len(h.pos) <= v {
-		h.pos = append(h.pos, -1)
+// grow makes room for variables below n, absent from the heap.
+func (h *varHeap) grow(n int) {
+	if old := len(h.pos); n > old {
+		h.pos = grow(h.pos, n-old)
+		for i := old; i < n; i++ {
+			h.pos[i] = -1
+		}
 	}
+	if n > cap(h.heap) {
+		h.heap = slices.Grow(h.heap, max(n, cap(h.heap)+cap(h.heap)/2)-len(h.heap))
+	}
+}
+
+func (h *varHeap) push(v int, act []float64) {
+	h.grow(v + 1)
 	if h.pos[v] >= 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.pos[v] = len(h.heap) - 1
-	h.up(h.pos[v], act)
+	h.heap = append(h.heap, int32(v))
+	h.pos[v] = int32(len(h.heap) - 1)
+	h.up(len(h.heap)-1, act)
 }
 
 func (h *varHeap) pop(act []float64) (int, bool) {
@@ -913,12 +1034,12 @@ func (h *varHeap) pop(act []float64) (int, bool) {
 		h.pos[last] = 0
 		h.down(0, act)
 	}
-	return v, true
+	return int(v), true
 }
 
 func (h *varHeap) update(v int, act []float64) {
 	if h.inHeap(v) {
-		h.up(h.pos[v], act)
+		h.up(int(h.pos[v]), act)
 	}
 }
 
@@ -930,11 +1051,11 @@ func (h *varHeap) up(i int, act []float64) {
 			break
 		}
 		h.heap[i] = h.heap[p]
-		h.pos[h.heap[p]] = i
+		h.pos[h.heap[p]] = int32(i)
 		i = p
 	}
 	h.heap[i] = v
-	h.pos[v] = i
+	h.pos[v] = int32(i)
 }
 
 func (h *varHeap) down(i int, act []float64) {
@@ -951,9 +1072,9 @@ func (h *varHeap) down(i int, act []float64) {
 			break
 		}
 		h.heap[i] = h.heap[c]
-		h.pos[h.heap[c]] = i
+		h.pos[h.heap[c]] = int32(i)
 		i = c
 	}
 	h.heap[i] = v
-	h.pos[v] = i
+	h.pos[v] = int32(i)
 }
