@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"verdict"
 	"verdict/internal/incidents"
@@ -224,38 +223,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSynthesis compares BDD-projection synthesis against
-// per-valuation enumeration on the rollout parameter space.
-func BenchmarkAblationSynthesis(b *testing.B) {
-	build := func() *rollout.Model {
-		m, err := rollout.Build(rollout.Config{
-			Topo: topo.Test(), SynthP: true, PMax: 4, K: 1, M: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	b.Run("bdd-projection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := build()
-			r, err := mc.SynthesizeParams(m.Sys, m.Property, mc.Options{})
-			if err != nil || len(r.Safe) != 2 {
-				b.Fatalf("%v %v", r, err)
-			}
-		}
-	})
-	b.Run("enumeration", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := build()
-			r, err := mc.SynthesizeParamsEnum(m.Sys, m.Property, mc.Options{MaxDepth: 20, Timeout: 5 * time.Minute})
-			if err != nil || len(r.Safe) != 2 {
-				b.Fatalf("%v %v", r, err)
-			}
-		}
-	})
-}
-
 // BenchmarkPortfolio races BMC, k-induction and the BDD engine on the
 // Figure 5 violation instance against BMC alone. On a multi-core host
 // the portfolio should cost about the same wall-clock as the fastest
@@ -289,35 +256,6 @@ func BenchmarkPortfolio(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSynthParallel fans the rollout parameter space (p ∈ 0..4)
-// over worker goroutines. The valuations are independent checks, so
-// on a multi-core host workers=4 should approach a 4x speedup over
-// workers=1 with byte-identical Safe/Unsafe partitions.
-func BenchmarkSynthParallel(b *testing.B) {
-	build := func() *rollout.Model {
-		m, err := rollout.Build(rollout.Config{
-			Topo: topo.Test(), SynthP: true, PMax: 4, K: 1, M: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := build()
-				r, err := mc.SynthesizeParamsEnum(m.Sys, m.Property, mc.Options{
-					MaxDepth: 20, Timeout: 5 * time.Minute, Workers: workers,
-				})
-				if err != nil || len(r.Safe) != 2 {
-					b.Fatalf("%v %v", r, err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkFig6Parallel runs a small slice of the Figure 6 sweep —

@@ -47,12 +47,10 @@ import (
 )
 
 var (
-	// showStats mirrors -stats; useEnumSynth mirrors
-	// -synth-engine=enum; retryPolicy mirrors -retry-budgets (zero
-	// Attempts = single run).
-	showStats    bool
-	useEnumSynth bool
-	retryPolicy  verdict.RetryPolicy
+	// showStats mirrors -stats; retryPolicy mirrors -retry-budgets
+	// (zero Attempts = single run).
+	showStats   bool
+	retryPolicy verdict.RetryPolicy
 	// useAbstract mirrors -abstract; scenarioTopo/P/K/M mirror the
 	// -topo/-p/-k/-m knobs of the rollout scenario.
 	useAbstract  bool
@@ -84,15 +82,6 @@ func check(sys *verdict.System, phi *verdict.LTL, opts verdict.Options) (*verdic
 	return verdict.CheckWithRetry(sys, phi, opts, retryPolicy)
 }
 
-// synthesize dispatches to BDD projection (default) or per-valuation
-// enumeration, which fans out over -workers goroutines.
-func synthesize(sys *verdict.System, phi *verdict.LTL, opts verdict.Options) (*verdict.SynthResult, error) {
-	if useEnumSynth {
-		return verdict.SynthesizeParamsEnum(sys, phi, opts)
-	}
-	return verdict.SynthesizeParams(sys, phi, opts)
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("verdict: ")
@@ -115,8 +104,6 @@ func main() {
 		verify    = flag.Bool("verify", true, "replay counterexample traces through the semantics")
 		validate  = flag.Bool("validate", false, "independently validate every verdict's evidence: counterexamples are replayed and checked to violate the property, proof certificates are re-checked by direct evaluation")
 		stats     = flag.Bool("stats", false, "print per-engine statistics (SAT conflicts/decisions/propagations, BDD nodes, time per depth)")
-		workers   = flag.Int("workers", 0, "worker goroutines for parameter synthesis (0 = NumCPU, 1 = serial)")
-		synthEng  = flag.String("synth-engine", "bdd", "parameter-synthesis engine: bdd (set projection) or enum (checks every valuation separately, parallel over -workers)")
 		satBudget = flag.Int64("sat-budget", 0, "CDCL conflict budget per solver; exhaustion degrades the verdict to unknown (0 = unlimited)")
 		bddBudget = flag.Int("bdd-budget", 0, "BDD arena node budget; exhaustion degrades the verdict to unknown (0 = unlimited)")
 		retries   = flag.Int("retry-budgets", 0, "on an unknown verdict, re-run up to N times with the -sat-budget/-bdd-budget/-timeout budgets scaled 4x each retry (0 = single run)")
@@ -139,22 +126,14 @@ func main() {
 	if useAbstract && (*scenario != "rollout" || *synth) {
 		die("-abstract applies to -scenario rollout (and not -synth): the quotient abstracts the rollout state space")
 	}
-	switch *synthEng {
-	case "bdd":
-	case "enum":
-		useEnumSynth = true
-	default:
-		dief("unknown -synth-engine %q (want bdd or enum)", *synthEng)
-	}
 	if *retries > 0 {
 		if *satBudget == 0 && *bddBudget == 0 && *timeout == 0 {
 			die("-retry-budgets needs a budget to escalate: set -sat-budget, -bdd-budget or -timeout")
 		}
 		retryPolicy = verdict.RetryPolicy{Attempts: *retries, Factor: 4}
 	}
-	opts := verdict.Options{MaxDepth: *depth, Timeout: *timeout, Workers: *workers,
-		ValidateWitness: *validate,
-		Budget:          verdict.Budget{SATConflicts: *satBudget, BDDNodes: *bddBudget}}
+	opts := verdict.Options{MaxDepth: *depth, Timeout: *timeout, ValidateWitness: *validate,
+		Budget: verdict.Budget{SATConflicts: *satBudget, BDDNodes: *bddBudget}}
 	if retryPolicy.Attempts > 0 {
 		// Under a retry ladder the wall clock is a per-attempt budget to
 		// escalate, not a fixed cap, so it moves into the Budget.
@@ -188,7 +167,7 @@ func runModel(path string, synth, fullTrace, verify bool, opts verdict.Options) 
 	}
 	for i, spec := range prog.LTLSpecs {
 		if synth {
-			res, err := synthesize(prog.Sys, spec, opts)
+			res, err := verdict.SynthesizeParams(prog.Sys, spec, opts)
 			if err != nil {
 				die(err)
 			}
@@ -242,7 +221,7 @@ func runScenario(name string, synth, fullTrace, verify bool, opts verdict.Option
 			die(err)
 		}
 		if synth {
-			res, err := synthesize(m.Sys, m.Property, opts)
+			res, err := verdict.SynthesizeParams(m.Sys, m.Property, opts)
 			if err != nil {
 				die(err)
 			}
@@ -264,7 +243,7 @@ func runScenario(name string, synth, fullTrace, verify bool, opts verdict.Option
 	case "taint":
 		m := verdict.BuildTaintLoop(verdict.TaintLoopConfig{SynthRespect: synth})
 		if synth {
-			res, err := synthesize(m.Sys, m.Property, opts)
+			res, err := verdict.SynthesizeParams(m.Sys, m.Property, opts)
 			if err != nil {
 				die(err)
 			}
@@ -284,7 +263,7 @@ func runScenario(name string, synth, fullTrace, verify bool, opts verdict.Option
 			die(err)
 		}
 		if synth {
-			res, err := synthesize(m.Sys, m.Property, opts)
+			res, err := verdict.SynthesizeParams(m.Sys, m.Property, opts)
 			if err != nil {
 				die(err)
 			}
@@ -304,7 +283,7 @@ func runScenario(name string, synth, fullTrace, verify bool, opts verdict.Option
 			die(err)
 		}
 		if synth {
-			res, err := synthesize(m.Sys, m.Property, opts)
+			res, err := verdict.SynthesizeParams(m.Sys, m.Property, opts)
 			if err != nil {
 				die(err)
 			}
@@ -321,7 +300,7 @@ func runScenario(name string, synth, fullTrace, verify bool, opts verdict.Option
 			RequestCPU: 50, Threshold: 45, SynthThreshold: synth,
 		})
 		if synth {
-			res, err := synthesize(m.Sys, m.Property, opts)
+			res, err := verdict.SynthesizeParams(m.Sys, m.Property, opts)
 			if err != nil {
 				die(err)
 			}

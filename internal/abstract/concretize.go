@@ -159,16 +159,17 @@ func concretize(cfg rollout.Config, q *Quotient, at *trace.Trace) (*trace.Trace,
 	}
 
 	ct := trace.New()
+	keys := newStateKeys(g)
 	snapshot := func() {
-		st := trace.NewState()
+		st := trace.State{Values: make(map[string]expr.Value, 2*len(g.Nodes)+len(g.Links))}
 		for _, nd := range g.Nodes {
 			if isService[nd.ID] {
-				st.Values["phase_"+nd.Name] = expr.EnumValue(phase[nd.ID])
+				st.Values[keys.phase[nd.ID]] = expr.EnumValue(phase[nd.ID])
 			}
-			st.Values["dist_"+nd.Name] = expr.IntValue(dist[nd.ID])
+			st.Values[keys.dist[nd.ID]] = expr.IntValue(dist[nd.ID])
 		}
 		for _, l := range g.Links {
-			st.Values["failed_"+l.Name] = expr.BoolValue(failed[l.ID])
+			st.Values[keys.failed[l.ID]] = expr.BoolValue(failed[l.ID])
 		}
 		ct.States = append(ct.States, st)
 	}
@@ -248,8 +249,8 @@ func concretize(cfg rollout.Config, q *Quotient, at *trace.Trace) (*trace.Trace,
 			if !isService[nd.ID] {
 				continue
 			}
-			ph, _ := st.Get("phase_" + nd.Name)
-			d, _ := st.Get("dist_" + nd.Name)
+			ph, _ := st.Get(keys.phase[nd.ID])
+			d, _ := st.Get(keys.dist[nd.ID])
 			if ph.Sym != rollout.PhaseUpdating && d.I < inf {
 				n++
 			}
@@ -259,7 +260,7 @@ func concretize(cfg rollout.Config, q *Quotient, at *trace.Trace) (*trace.Trace,
 	// Only the final state is known converged; intermediate states
 	// may be too (cheap to check by replaying their distance rows).
 	for i, st := range ct.States {
-		if convergedState(g, fe, inf, isService, st) && avail(st) < cfg.M {
+		if convergedState(g, fe, inf, isService, keys, st) && avail(st) < cfg.M {
 			ct.States = ct.States[:i+1]
 			return ct, nil, nil
 		}
@@ -274,19 +275,35 @@ func concretize(cfg rollout.Config, q *Quotient, at *trace.Trace) (*trace.Trace,
 	return nil, hint, nil
 }
 
+// stateKeys holds a concretized state's variable names, built once
+// per concretization instead of once per state: phase and dist per
+// node ID, failed per link ID.
+type stateKeys struct{ phase, dist, failed []string }
+
+func newStateKeys(g *topo.Graph) stateKeys {
+	k := stateKeys{make([]string, len(g.Nodes)), make([]string, len(g.Nodes)), make([]string, len(g.Links))}
+	for _, nd := range g.Nodes {
+		k.phase[nd.ID], k.dist[nd.ID] = "phase_"+nd.Name, "dist_"+nd.Name
+	}
+	for _, l := range g.Links {
+		k.failed[l.ID] = "failed_" + l.Name
+	}
+	return k
+}
+
 // convergedState checks whether a snapshot's distance vector is a
 // fixpoint of the snapshot's own topology — the concrete model's
 // `converged` DEFINE, evaluated on plain Go state.
-func convergedState(g *topo.Graph, fe int, inf int64, isService []bool, st trace.State) bool {
+func convergedState(g *topo.Graph, fe int, inf int64, isService []bool, keys stateKeys, st trace.State) bool {
 	aliveAt := func(n int) bool {
 		if !isService[n] {
 			return true
 		}
-		ph, _ := st.Get("phase_" + g.Nodes[n].Name)
+		ph, _ := st.Get(keys.phase[n])
 		return ph.Sym != rollout.PhaseUpdating
 	}
 	distAt := func(n int) int64 {
-		d, _ := st.Get("dist_" + g.Nodes[n].Name)
+		d, _ := st.Get(keys.dist[n])
 		return d.I
 	}
 	for _, nd := range g.Nodes {
@@ -295,7 +312,7 @@ func convergedState(g *topo.Graph, fe int, inf int64, isService []bool, st trace
 		if n != fe {
 			acc := inf
 			for _, lid := range g.LinksOf(n) {
-				f, _ := st.Get("failed_" + g.Links[lid].Name)
+				f, _ := st.Get(keys.failed[lid])
 				nb := g.Other(lid, n)
 				if !f.B && aliveAt(nb) && distAt(nb) < inf {
 					if c := distAt(nb) + 1; c < acc {

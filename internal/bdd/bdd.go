@@ -425,48 +425,6 @@ func (m *Manager) PickOne(f Node) map[int]bool {
 	return out
 }
 
-// AllSat enumerates all satisfying assignments of f over exactly the
-// variables in support (sorted ascending), calling fn for each total
-// assignment. fn returning false stops the enumeration early.
-func (m *Manager) AllSat(f Node, support []int, fn func(map[int]bool) bool) {
-	asn := make(map[int]bool)
-	var rec func(n Node, idx int) bool
-	rec = func(n Node, idx int) bool {
-		if n == False {
-			return true
-		}
-		if idx == len(support) {
-			if n != True {
-				panic("bdd: AllSat support does not cover f")
-			}
-			cp := make(map[int]bool, len(asn))
-			for k, v := range asn {
-				cp[k] = v
-			}
-			return fn(cp)
-		}
-		v := support[idx]
-		d := m.nodes[n]
-		lo, hi := n, n
-		if n != True && int(d.level) == v {
-			lo, hi = d.lo, d.hi
-		} else if n != True && int(d.level) < v {
-			panic("bdd: AllSat support does not cover f")
-		}
-		asn[v] = false
-		if !rec(lo, idx+1) {
-			return false
-		}
-		asn[v] = true
-		if !rec(hi, idx+1) {
-			return false
-		}
-		delete(asn, v)
-		return true
-	}
-	rec(f, 0)
-}
-
 // Support returns the sorted set of levels appearing in f.
 func (m *Manager) Support(f Node) []int {
 	seen := make(map[Node]bool)

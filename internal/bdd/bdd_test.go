@@ -243,28 +243,6 @@ func TestPickOne(t *testing.T) {
 	}
 }
 
-func TestAllSat(t *testing.T) {
-	m := New(3)
-	f := m.Or(m.Var(0), m.Var(1))
-	var got [][3]bool
-	m.AllSat(f, []int{0, 1, 2}, func(asn map[int]bool) bool {
-		got = append(got, [3]bool{asn[0], asn[1], asn[2]})
-		return true
-	})
-	if len(got) != 6 { // 8 total - 2 where both 0,1 false
-		t.Fatalf("AllSat found %d assignments, want 6", len(got))
-	}
-	// Early stop.
-	n := 0
-	m.AllSat(f, []int{0, 1, 2}, func(asn map[int]bool) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Errorf("early stop visited %d, want 2", n)
-	}
-}
-
 func TestSupport(t *testing.T) {
 	m := New(5)
 	f := m.And(m.Var(1), m.Or(m.Var(3), m.NVar(4)))

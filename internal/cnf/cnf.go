@@ -15,6 +15,7 @@ package cnf
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"verdict/internal/expr"
 	"verdict/internal/sat"
@@ -1134,6 +1135,30 @@ func (e *Encoder) Model(f *Frame, v *expr.Var) expr.Value {
 		return expr.EnumValue(v.T.Values[val])
 	}
 	panic("cnf: Model of non-finite variable " + v.Name)
+}
+
+// ValueLits returns the literals that state "v has value val in frame
+// f", one per bit of v, LSB first: a conjunction of them pins v to val.
+// It adds nothing to the solver.
+func (e *Encoder) ValueLits(f *Frame, v *expr.Var, val expr.Value) []sat.Lit {
+	b := e.varBits(v, f, "ValueLits of")
+	code := val.I - b.off
+	switch v.T.Kind {
+	case expr.KindBool:
+		code = 0
+		if val.B {
+			code = 1
+		}
+	case expr.KindEnum:
+		code = int64(v.T.EnumIndex(val.Sym))
+	}
+	out := slices.Clone(b.lits)
+	for i := range out {
+		if code>>uint(i)&1 == 0 {
+			out[i] = out[i].Not()
+		}
+	}
+	return out
 }
 
 // EqFrames returns a literal true iff every variable common to both

@@ -275,6 +275,25 @@ func TestModelDecoding(t *testing.T) {
 	}
 }
 
+// ValueLits is Model's inverse: assuming the literals it returns for
+// any in-domain value makes the model decode to that value.
+func TestValueLitsPinValue(t *testing.T) {
+	vars := testVars()
+	s := sat.New()
+	enc := NewEncoder(s)
+	f := enc.NewFrame(vars)
+	for _, v := range vars {
+		for _, val := range v.T.Domain() {
+			if got := s.SolveAssuming(enc.ValueLits(f, v, val)...); got != sat.Sat {
+				t.Fatalf("%s=%s: Solve = %v", v.Name, val, got)
+			}
+			if m := enc.Model(f, v); !m.Equal(val) {
+				t.Errorf("%s pinned to %s decodes as %s", v.Name, val, m)
+			}
+		}
+	}
+}
+
 func TestRangeConstraintEnforced(t *testing.T) {
 	// A var with range [0,5] uses 3 bits; values 6,7 must be excluded.
 	v := &expr.Var{Name: "x", T: expr.Int(0, 5)}

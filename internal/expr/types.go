@@ -117,6 +117,27 @@ func (t Type) Size() int64 {
 	return 0
 }
 
+// Domain enumerates a finite domain's values in order; it is nil for
+// reals.
+func (t Type) Domain() []Value {
+	out := make([]Value, 0, t.Size())
+	switch t.Kind {
+	case KindBool:
+		out = append(out, BoolValue(false), BoolValue(true))
+	case KindInt:
+		for i := t.Lo; i <= t.Hi; i++ {
+			out = append(out, IntValue(i))
+		}
+	case KindEnum:
+		for _, s := range t.Values {
+			out = append(out, EnumValue(s))
+		}
+	default:
+		return nil
+	}
+	return out
+}
+
 // Finite reports whether the domain is finite.
 func (t Type) Finite() bool { return t.Kind != KindReal }
 

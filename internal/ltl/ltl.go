@@ -246,6 +246,23 @@ func IsSafetyInvariant(f *Formula) (*expr.Expr, bool) {
 	return nil, false
 }
 
+// Counterexample returns the formula a counterexample to phi satisfies
+// on a system with the given FAIRNESS constraints: ¬phi in NNF and,
+// unless phi is an invariant G(p), G F f for every constraint f, since
+// only a path that meets each constraint infinitely often counts. An
+// invariant is a property of the reachable states, fair or not. On a
+// finite prefix G F f never holds, so every counterexample to a
+// property under fairness is a lasso.
+func Counterexample(phi *Formula, fairness []*expr.Expr) *Formula {
+	neg := Not(phi).NNF()
+	if _, inv := IsSafetyInvariant(phi); !inv {
+		for _, f := range fairness {
+			neg = And(neg, G(F(Atom(f))))
+		}
+	}
+	return neg
+}
+
 func pureState(f *Formula) (*expr.Expr, bool) {
 	switch f.Kind {
 	case KindAtom:

@@ -141,15 +141,31 @@ func (u *unroller) litAt(p *expr.Expr, k int) sat.Lit {
 	return u.enc.Lit(p, u.frames[k], nil)
 }
 
-// loopLit returns the literal closing the lasso: a transition from
-// frame k whose successor state is frame l itself. Compiling TRANS
-// with (cur = frame k, next = frame l) pins the successor to the very
-// variables of position l, which is exactly the bounded loop
-// semantics' requirement that position k+1 and position l coincide.
-func (u *unroller) loopLit(l int) sat.Lit {
+// witness encodes the counterexample conditions of witnessLits over
+// the current unrolling.
+func (u *unroller) witness(neg *ltl.Formula, loop int) []sat.Lit {
 	defer u.encoded(time.Now())
-	k := len(u.frames) - 1
-	return u.enc.Lit(u.sys.TransExpr(), u.frames[k], u.frames[l])
+	return witnessLits(u.benc, u.sys.TransExpr(), neg, loop)
+}
+
+// witnessLits returns literals whose conjunction says that the path
+// through benc's frames satisfies neg (a counterexample formula, see
+// ltl.Counterexample): as a finite prefix under the bounded no-loop
+// semantics when loop < 0, else as a lasso back to frame loop, closed
+// by a transition from the last frame into frame loop. The closing
+// transition compiles TRANS with (cur = last frame, next = frame
+// loop), which pins the successor to the very variables of position
+// loop: the bounded loop semantics' requirement that position k+1 and
+// position loop coincide.
+//
+// BMC assumes these literals per query; synthesis asserts their
+// negation when it lifts a counterexample to a cube of parameters.
+func witnessLits(benc *ltl.BoundedEncoder, trans *expr.Expr, neg *ltl.Formula, loop int) []sat.Lit {
+	if loop < 0 {
+		return []sat.Lit{benc.EncodeNoLoop(neg)}
+	}
+	k := len(benc.Frames) - 1
+	return []sat.Lit{benc.EncodeLoop(neg, loop), benc.Enc.Lit(trans, benc.Frames[k], benc.Frames[loop])}
 }
 
 // solve runs one assumption query against the retained solver state.

@@ -15,7 +15,11 @@ import (
 // every lasso loop-back index at each depth. Finite systems use the
 // pure SAT pipeline; systems with real-valued variables automatically
 // go through the lazy SMT(LRA) context. BMC never returns Holds — use
-// KInduction or the BDD engine to prove properties.
+// KInduction or the BDD engine to prove properties. On a system with
+// FAIRNESS constraints every property but an invariant is checked over
+// fair paths only, as the BDD engine does: the negation it searches
+// for conjoins G F f per constraint f (ltl.Counterexample), so only a
+// lasso whose loop meets every constraint is a witness.
 //
 // For pure co-safety negations (every witness is a finite prefix —
 // notably safety invariants G(p)) the unrolling is incremental: depth
@@ -36,7 +40,7 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 		return nil, err
 	}
 	start := time.Now()
-	neg := ltl.Not(phi).NNF()
+	neg := ltl.Counterexample(phi, sys.Fairness())
 	engine := "bmc"
 	if !finite {
 		engine = "smt-bmc"
@@ -78,10 +82,7 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 			continue
 		}
 		// No-loop witness.
-		t := time.Now()
-		w := u.benc.EncodeNoLoop(neg)
-		u.encoded(t)
-		st := u.solve(w)
+		st := u.solve(u.witness(neg, -1)...)
 		if st == sat.Sat {
 			return finish(&Result{
 				Status:  Violated,
@@ -102,10 +103,7 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 				if opts.expired(start) {
 					return finish(&Result{Status: Unknown, Engine: engine, Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
 				}
-				t := time.Now()
-				w := u.benc.EncodeLoop(neg, l)
-				u.encoded(t)
-				st := u.solve(w, u.loopLit(l))
+				st := u.solve(u.witness(neg, l)...)
 				if st == sat.Sat {
 					return finish(&Result{
 						Status:  Violated,

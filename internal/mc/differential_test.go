@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"verdict/internal/expr"
@@ -224,11 +225,12 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialSynth cross-checks the two synthesis engines on
-// random parametric systems: BDD projection vs per-valuation
-// enumeration, and the enumeration path serial vs parallel. All three
-// must produce identical Safe/Unsafe partitions, and every enumeration
-// witness must replay.
+// TestDifferentialSynth cross-checks parameter synthesis on random
+// parametric systems against the explicit engine, run on the system
+// pinned to each valuation in turn. The invariant exercises finite
+// counterexamples; F(G) and G(F) exercise lifted lassos. Both must
+// give identical Safe/Unsafe partitions, and every unsafe valuation's
+// witness must replay under that valuation.
 func TestDifferentialSynth(t *testing.T) {
 	n := int64(10)
 	if testing.Short() {
@@ -243,46 +245,74 @@ func TestDifferentialSynth(t *testing.T) {
 			// Weave the parameter into the property so the safe set
 			// genuinely depends on it.
 			pp := expr.Or(expr.Lt(x0(sys).Ref(), c.Ref()), p)
-			phi := ltl.G(ltl.Atom(pp))
-
-			bddRes, err := SynthesizeParams(sys, phi, Options{})
-			if err != nil {
-				t.Fatalf("bdd-synth: %v\n%s", err, dumpSystem(sys, pp))
-			}
-			serial, err := SynthesizeParamsEnum(sys, phi, Options{MaxDepth: diffMaxDepth, Workers: 1})
-			if err != nil {
-				t.Fatalf("enum-synth serial: %v\n%s", err, dumpSystem(sys, pp))
-			}
-			par, err := SynthesizeParamsEnum(sys, phi, Options{MaxDepth: diffMaxDepth, Workers: 4})
-			if err != nil {
-				t.Fatalf("enum-synth parallel: %v\n%s", err, dumpSystem(sys, pp))
-			}
-
-			want := partition(bddRes)
-			for name, got := range map[string]string{
-				"enum-synth workers=1": partition(serial),
-				"enum-synth workers=4": partition(par),
+			for _, prop := range []struct {
+				phi   *ltl.Formula
+				check func(*Explicit) (*Result, error)
+			}{
+				{ltl.G(ltl.Atom(pp)), func(ex *Explicit) (*Result, error) { return ex.CheckInvariant(pp) }},
+				{ltl.F(ltl.G(ltl.Atom(pp))), func(ex *Explicit) (*Result, error) { return ex.CheckFG(pp) }},
+				{ltl.G(ltl.F(ltl.Atom(pp))), func(ex *Explicit) (*Result, error) { return ex.CheckGF(pp) }},
 			} {
-				if got != want {
-					t.Errorf("%s disagrees with bdd-synth:\n got %s\nwant %s\n%s", name, got, want, dumpSystem(sys, pp))
+				res, err := SynthesizeParams(sys, prop.phi, Options{MaxDepth: diffMaxDepth})
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", prop.phi, err, dumpSystem(sys, pp))
 				}
-			}
-
-			for _, res := range []*SynthResult{serial, par} {
+				if got, want := partition(res), explicitPartition(t, sys, prop.check); got != want {
+					t.Errorf("%s: synthesis disagrees with the explicit engine:\n got %s\nwant %s\n%s", prop.phi, got, want, dumpSystem(sys, pp))
+				}
 				for _, ua := range res.Unsafe {
 					tr, ok := res.Witnesses[ua.String()]
 					if !ok {
-						t.Errorf("enum-synth: unsafe %s has no witness trace", ua)
+						t.Errorf("%s: unsafe %s has no witness trace", prop.phi, ua)
 						continue
 					}
-					replayCex(t, sys, tr, pp, "enum-synth witness "+ua.String())
+					if err := witness.Validate(sys, prop.phi, tr); err != nil {
+						t.Errorf("%s: witness for %s rejected: %v\n%s", prop.phi, ua, err, tr.Full())
+					}
 					if got := tr.Params["c"]; got.String() != ua["c"].String() {
-						t.Errorf("witness for %s pinned c=%s", ua, got)
+						t.Errorf("%s: witness for %s pinned c=%s", prop.phi, ua, got)
 					}
 				}
 			}
 		})
 	}
+}
+
+// explicitPartition decides every parameter valuation of sys with the
+// explicit engine on the system pinned to it, rendered as partition
+// renders a synthesis result.
+func explicitPartition(t *testing.T, sys *ts.System, check func(*Explicit) (*Result, error)) string {
+	t.Helper()
+	res := &SynthResult{}
+	s := &synth{params: sys.Params()}
+	for _, p := range s.params {
+		s.dom = append(s.dom, p.T.Domain())
+	}
+	for _, a := range s.members(s.cube(func(int, expr.Value) bool { return true })) {
+		var pins []*expr.Expr
+		for _, p := range s.params {
+			pins = append(pins, expr.Eq(p.Ref(), expr.Const(a[p.Name], p.T)))
+		}
+		ex, err := NewExplicit(restrictInit(sys, expr.And(pins...)), Options{})
+		if err != nil {
+			t.Fatalf("explicit under %s: %v", a, err)
+		}
+		r, err := check(ex)
+		if err != nil {
+			t.Fatalf("explicit under %s: %v", a, err)
+		}
+		switch r.Status {
+		case Holds:
+			res.Safe = append(res.Safe, a)
+		case Violated:
+			res.Unsafe = append(res.Unsafe, a)
+		default:
+			t.Fatalf("explicit under %s: %v", a, r)
+		}
+	}
+	sort.Slice(res.Safe, func(i, j int) bool { return res.Safe[i].String() < res.Safe[j].String() })
+	sort.Slice(res.Unsafe, func(i, j int) bool { return res.Unsafe[i].String() < res.Unsafe[j].String() })
+	return partition(res)
 }
 
 // x0 fetches the generator's "x" variable back out of the system.

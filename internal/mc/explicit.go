@@ -169,7 +169,7 @@ func (e *Explicit) forAllAssignments(fn func(expr.MapEnv, explState) (bool, erro
 		if i == len(e.vars) {
 			return fn(e.env(vals), vals)
 		}
-		for _, v := range domainValues(e.vars[i].T) {
+		for _, v := range e.vars[i].T.Domain() {
 			vals[i] = v
 			cont, err := rec(i + 1)
 			if err != nil || !cont {
@@ -192,7 +192,7 @@ func (e *Explicit) forAllStateAssignments(base explState, fn func(expr.MapEnv, e
 		if i == e.nstate {
 			return fn(e.env(vals), vals)
 		}
-		for _, v := range domainValues(e.vars[i].T) {
+		for _, v := range e.vars[i].T.Domain() {
 			vals[i] = v
 			cont, err := rec(i + 1)
 			if err != nil || !cont {

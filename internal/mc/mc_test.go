@@ -8,6 +8,7 @@ import (
 	"verdict/internal/ctl"
 	"verdict/internal/expr"
 	"verdict/internal/ltl"
+	"verdict/internal/trace"
 	"verdict/internal/ts"
 	"verdict/internal/witness"
 )
@@ -253,6 +254,106 @@ func TestFairnessRestoresLiveness(t *testing.T) {
 	if r.Status != Holds {
 		t.Fatalf("G(F(y=3)) under fairness: %v, want holds", r)
 	}
+	// The unfair lasso that resets before y=3 forever is no
+	// counterexample: BMC must not report it, so the portfolio's
+	// verdict does not depend on which engine wins.
+	rb, err := BMC(sys, phi, Options{MaxDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Status == Violated {
+		t.Fatalf("BMC under fairness: %v, want no counterexample\n%s", rb, rb.Trace.Full())
+	}
+	for i := 0; i < 5; i++ {
+		rp, err := Portfolio(sys, phi, Options{MaxDepth: 8, ValidateWitness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.Status != Holds {
+			t.Fatalf("run %d: portfolio under fairness: %v (%s), want holds", i, rp, rp.Engine)
+		}
+	}
+}
+
+// Under fairness BMC's counterexamples are fair lassos: F(G(y=3))
+// still fails with y=3 infinitely often, but only on a loop that
+// reaches y=3 and resets.
+func TestBMCFindsFairLasso(t *testing.T) {
+	sys, stable := stabilizer(true)
+	sys.AddFairness(stable)
+	phi := ltl.F(ltl.G(ltl.Atom(stable)))
+	r, err := BMC(sys, phi, Options{MaxDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != Violated || r.Trace == nil || !r.Trace.IsLasso() {
+		t.Fatalf("BMC F(G(y=3)) under fairness: %v, want a violating lasso", r)
+	}
+	if err := witness.Validate(sys, phi, r.Trace); err != nil {
+		t.Fatalf("fair lasso rejected: %v\n%s", err, r.Trace.Full())
+	}
+	fair := false
+	for i := r.Trace.LoopStart; i < r.Trace.Len(); i++ {
+		if v, _ := r.Trace.States[i].Get("y"); v.I == 3 {
+			fair = true
+		}
+	}
+	if !fair {
+		t.Fatalf("lasso loop never meets the fairness constraint y=3:\n%s", r.Trace.Full())
+	}
+}
+
+// The referee holds counterexamples to the same fair-path semantics:
+// the lasso that stays at y=0 violates G(F(y=3)) on an unfair path
+// only, and a finite prefix is no fair path at all.
+func TestValidateRejectsUnfairLasso(t *testing.T) {
+	sys, stable := stabilizer(true)
+	phi := ltl.G(ltl.F(ltl.Atom(stable)))
+	lasso := trace.New()
+	st := trace.NewState()
+	st.Values["y"] = expr.IntValue(0)
+	lasso.States = append(lasso.States, st)
+	lasso.LoopStart = 0
+	if err := witness.Validate(sys, phi, lasso); err != nil {
+		t.Fatalf("without fairness the y=0 lasso is a counterexample: %v", err)
+	}
+	sys.AddFairness(stable)
+	if err := witness.Validate(sys, phi, lasso); err == nil {
+		t.Fatal("unfair lasso accepted as a counterexample under FAIRNESS y=3")
+	}
+	prefix := lasso.Clone()
+	prefix.LoopStart = -1
+	if err := witness.Validate(sys, ltl.Atom(stable), prefix); err == nil {
+		t.Fatal("finite prefix accepted as a counterexample under FAIRNESS")
+	}
+	// An invariant stays a property of reachable states.
+	if err := witness.Validate(sys, ltl.G(ltl.Atom(stable)), prefix); err != nil {
+		t.Fatalf("invariant counterexample rejected under fairness: %v", err)
+	}
+}
+
+// A system whose only fair paths visit x: F(x) holds under FAIRNESS x,
+// and the portfolio says so whichever engine answers first. Twelve
+// free counters give BDD work and BMC time to find the unfair lasso
+// that stays at x=FALSE.
+func TestPortfolioFairnessVerdict(t *testing.T) {
+	sys := ts.New("fair-eventually")
+	x := sys.Bool("x")
+	sys.AddInit(expr.Not(x.Ref()))
+	sys.AddFairness(x.Ref())
+	for i := 0; i < 12; i++ {
+		sys.Int(fmt.Sprintf("c%d", i), 0, 200)
+	}
+	phi := ltl.F(ltl.Atom(x.Ref()))
+	for i := 0; i < 5; i++ {
+		r, err := Portfolio(sys, phi, Options{MaxDepth: 10, ValidateWitness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != Holds {
+			t.Fatalf("run %d: %v (%s), want holds", i, r, r.Engine)
+		}
+	}
 }
 
 func TestGFWithoutFairnessViolated(t *testing.T) {
@@ -297,7 +398,7 @@ func paramSystem() (*ts.System, *expr.Expr) {
 	return sys, expr.Ne(x.Ref(), expr.IntConst(7))
 }
 
-func TestSynthesizeParamsBDD(t *testing.T) {
+func TestSynthesizeParams(t *testing.T) {
 	sys, prop := paramSystem()
 	res, err := SynthesizeParams(sys, ltl.G(ltl.Atom(prop)), Options{})
 	if err != nil {
@@ -317,22 +418,24 @@ func TestSynthesizeParamsBDD(t *testing.T) {
 	}
 }
 
-func TestSynthesizeParamsEnumMatchesBDD(t *testing.T) {
+// Every valuation gets the verdict the explicit engine gives it
+// pinned, and the one unsafe valuation costs one check and the safe
+// rest another.
+func TestSynthesizeParamsMatchesExplicit(t *testing.T) {
 	sys, prop := paramSystem()
 	phi := ltl.G(ltl.Atom(prop))
-	bddRes, err := SynthesizeParams(sys, phi, Options{})
+	res, err := SynthesizeParams(sys, phi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enumRes, err := SynthesizeParamsEnum(sys, phi, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if want := explicitPartition(t, sys, func(ex *Explicit) (*Result, error) { return ex.CheckInvariant(prop) }); partition(res) != want {
+		t.Errorf("synthesis %s, explicit %s", partition(res), want)
 	}
-	if fmt.Sprint(bddRes.Safe) != fmt.Sprint(enumRes.Safe) {
-		t.Errorf("safe sets differ: bdd=%v enum=%v", bddRes.Safe, enumRes.Safe)
+	if res.Checks != 2 || res.Engine != "portfolio-synth" {
+		t.Errorf("%s took %d checks, want portfolio-synth in 2", res.Engine, res.Checks)
 	}
-	if fmt.Sprint(bddRes.Unsafe) != fmt.Sprint(enumRes.Unsafe) {
-		t.Errorf("unsafe sets differ: bdd=%v enum=%v", bddRes.Unsafe, enumRes.Unsafe)
+	if err := witness.Validate(sys, phi, res.Witnesses["p=1"]); err != nil {
+		t.Errorf("p=1 witness: %v", err)
 	}
 }
 

@@ -9,7 +9,6 @@ package mc
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -250,28 +249,22 @@ type Options struct {
 	Timeout time.Duration
 	// MaxExplicitStates caps explicit-state enumeration (default 1e6).
 	MaxExplicitStates int
-	// Workers caps the goroutine fan-out of SynthesizeParamsEnum and
-	// the verdict-bench sweep. 0 means runtime.NumCPU(); 1 forces the
-	// serial path. Portfolio never reads it: it starts one goroutine
-	// per engine in its lineup.
-	Workers int
 	// Context, when non-nil, cancels in-flight checks cooperatively:
 	// the engines poll it at the same points as the wall-clock
-	// deadline and return Unknown once it is done. Portfolio and the
-	// parallel synthesizer derive per-run child contexts from it to
-	// cancel losing engines and sibling workers.
+	// deadline and return Unknown once it is done. Portfolio derives a
+	// per-race child context from it to cancel losing engines.
 	Context context.Context
 	// Budget caps SAT conflicts, BDD arena nodes, and wall-clock per
 	// check; exhaustion degrades to Unknown instead of running
 	// unbounded. See WithRetry for escalating re-runs.
 	Budget Budget
-	// Checkpoint, when non-empty, makes SynthesizeParamsEnum persist
-	// every completed valuation to this JSON file so an interrupted
-	// sweep can resume.
+	// Checkpoint, when non-empty, makes SynthesizeParams persist every
+	// unsafe valuation it finds to this JSON file so an interrupted
+	// synthesis can resume.
 	Checkpoint string
-	// Resume makes SynthesizeParamsEnum skip valuations already
-	// recorded in the Checkpoint file, reusing their stored verdicts
-	// and witness traces.
+	// Resume makes SynthesizeParams block the valuations recorded in
+	// the Checkpoint file before its first check, reusing their stored
+	// witness traces.
 	Resume bool
 	// ValidateWitness re-checks every conclusive verdict with the
 	// independent witness validator (internal/witness): counterexample
@@ -330,13 +323,6 @@ func (o Options) maxExplicit() int {
 		return 1_000_000
 	}
 	return o.MaxExplicitStates
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return o.Workers
 }
 
 // ctx returns the cancellation context (never nil).

@@ -38,7 +38,7 @@ type varLayout struct {
 }
 
 // Sym is the BDD-based symbolic engine: exact CTL/LTL checking with
-// fairness and parameter synthesis for finite systems.
+// fairness for finite systems.
 type Sym struct {
 	sys  *ts.System
 	opts Options
@@ -46,10 +46,9 @@ type Sym struct {
 
 	layout map[*expr.Var]varLayout
 
-	init   bdd.Node // initial states (incl. invariant and domains)
-	trans  bdd.Node // transition relation (incl. domains and invariants)
-	invar  bdd.Node
-	domCur bdd.Node
+	init  bdd.Node // initial states (incl. invariant and domains)
+	trans bdd.Node // transition relation (incl. domains and invariants)
+	invar bdd.Node
 
 	curState  bdd.VarSet // current-state bit levels of state vars (not params)
 	nextState bdd.VarSet // next-state bit levels of state vars
@@ -142,18 +141,17 @@ func NewSym(sys *ts.System, opts Options) (s *Sym, err error) {
 	}
 
 	// Domain constraints.
-	s.domCur = bdd.True
-	domNext := bdd.True
+	domCur, domNext := bdd.True, bdd.True
 	for _, v := range sys.AllVars() {
 		lay := s.layout[v]
 		span := spanOf(v.T)
-		s.domCur = s.m.And(s.domCur, s.leConstBits(s.curBits(lay), span))
+		domCur = s.m.And(domCur, s.leConstBits(s.curBits(lay), span))
 		if !v.Param {
 			domNext = s.m.And(domNext, s.leConstBits(s.nextBits(lay), span))
 		}
 	}
 
-	s.invar = s.m.And(s.compileBool(sys.InvarExpr()), s.domCur)
+	s.invar = s.m.And(s.compileBool(sys.InvarExpr()), domCur)
 	s.init = s.m.And(s.compileBool(sys.InitExpr()), s.invar)
 	tr := s.compileBool(sys.TransExpr())
 	s.trans = s.m.And(tr, s.invar, domNext, s.prime(s.m.And(s.compileBool(sys.InvarExpr()))))
@@ -1096,7 +1094,7 @@ func (s *Sym) bitPredicate(v *expr.Var, lay varLayout, j int) *expr.Expr {
 		return v.Ref()
 	}
 	var alts []*expr.Expr
-	for _, val := range domainValues(v.T) {
+	for _, val := range v.T.Domain() {
 		var u int64
 		switch val.Kind {
 		case expr.KindInt:

@@ -36,69 +36,76 @@ func synthResultsEqual(t *testing.T, want, got *SynthResult) {
 	}
 }
 
-// A resumed sweep must replay checkpointed cells rather than recompute
-// them: with every synth site rigged to panic, only the checkpoint can
-// supply the verdicts.
+// A resumed synthesis blocks the checkpointed unsafe valuations
+// instead of rediscovering them: with every unsafe valuation recorded
+// it makes exactly one check, the one that proves the rest safe, and
+// every later synth site is rigged to panic.
 func TestSynthResumeReplaysWithoutRecomputing(t *testing.T) {
 	sys, prop := paramSystem()
 	phi := ltl.G(ltl.Atom(prop))
 	ckpt := filepath.Join(t.TempDir(), "synth.ckpt")
 
-	clean, err := SynthesizeParamsEnum(sys, phi, Options{Checkpoint: ckpt})
+	clean, err := SynthesizeParams(sys, phi, Options{Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	faults := make(map[string]resilience.Fault)
-	for i := 0; i < 4; i++ {
+	for i := 1; i < 4; i++ {
 		faults[fmt.Sprintf("synth/%d", i)] = resilience.FaultPanic
 	}
 	restore := resilience.InjectFaults(faults)
 	defer restore()
 
-	resumed, err := SynthesizeParamsEnum(sys, phi, Options{Checkpoint: ckpt, Resume: true})
+	resumed, err := SynthesizeParams(sys, phi, Options{Checkpoint: ckpt, Resume: true})
 	if err != nil {
-		t.Fatalf("resume should not touch the rigged checker: %v", err)
+		t.Fatalf("resume should need only the final check: %v", err)
 	}
 	synthResultsEqual(t, clean, resumed)
+	if resumed.Checks != 1 {
+		t.Errorf("resumed synthesis made %d checks, want 1", resumed.Checks)
+	}
 }
 
-// The acceptance scenario: a sweep killed partway through resumes from
-// its checkpoint and produces a result identical to an uninterrupted
-// run.
+// The acceptance scenario: a synthesis killed partway through resumes
+// from its checkpoint and produces a result identical to an
+// uninterrupted run.
 func TestSynthCrashAndResumeIdentical(t *testing.T) {
 	sys, prop := paramSystem()
 	phi := ltl.G(ltl.Atom(prop))
 
-	clean, err := SynthesizeParamsEnum(sys, phi, Options{})
+	clean, err := SynthesizeParams(sys, phi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "synth.ckpt")
-	// Serial sweep dying at the third valuation: the first two cells
-	// are already flushed when the crash hits.
+	// The run dies in its second round: the first round's unsafe cube
+	// (p=1) is already flushed when the crash hits.
 	restore := resilience.InjectFaults(map[string]resilience.Fault{
-		"synth/2": resilience.FaultPanic,
+		"synth/1": resilience.FaultPanic,
 	})
-	_, err = SynthesizeParamsEnum(sys, phi, Options{Workers: 1, Checkpoint: ckpt})
+	_, err = SynthesizeParams(sys, phi, Options{Checkpoint: ckpt})
 	restore()
 	var ee *resilience.EngineError
 	if !errors.As(err, &ee) {
-		t.Fatalf("rigged sweep should die with an EngineError, got %v", err)
+		t.Fatalf("rigged synthesis should die with an EngineError, got %v", err)
 	}
 
 	saved, oerr := resilience.OpenCheckpoint(ckpt, true)
 	if oerr != nil {
 		t.Fatal(oerr)
 	}
-	if saved.Len() != 2 {
-		t.Fatalf("checkpoint after crash holds %d cells, want 2", saved.Len())
+	if saved.Len() != 1 {
+		t.Fatalf("checkpoint after crash holds %d cells, want 1", saved.Len())
 	}
 
-	resumed, err := SynthesizeParamsEnum(sys, phi, Options{Workers: 1, Checkpoint: ckpt, Resume: true})
+	resumed, err := SynthesizeParams(sys, phi, Options{Checkpoint: ckpt, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	synthResultsEqual(t, clean, resumed)
+	if resumed.Checks != 1 {
+		t.Errorf("resumed synthesis made %d checks, want 1", resumed.Checks)
+	}
 }

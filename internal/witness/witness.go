@@ -56,7 +56,11 @@ func (s Status) String() string {
 //   - every consecutive pair satisfies TRANS,
 //   - for lasso traces the loop-closing step satisfies TRANS,
 //   - the trace satisfies ¬phi under exact lasso semantics (lassos) or
-//     the conservative informative-prefix semantics (finite prefixes).
+//     the conservative informative-prefix semantics (finite prefixes);
+//   - on a system with FAIRNESS constraints, unless phi is an
+//     invariant G(p), the trace is a lasso whose loop satisfies every
+//     constraint at some state: the property quantifies over fair
+//     paths only.
 //
 // A nil error means the trace is an execution of sys that violates phi.
 func Validate(sys *ts.System, phi *ltl.Formula, t *trace.Trace) error {
@@ -70,7 +74,7 @@ func Validate(sys *ts.System, phi *ltl.Formula, t *trace.Trace) error {
 	if phi == nil {
 		return nil
 	}
-	viol, err := holds(ltl.Not(phi).NNF(), envs, t.LoopStart)
+	viol, err := holds(ltl.Counterexample(phi, sys.Fairness()), envs, t.LoopStart)
 	if err != nil {
 		return fmt.Errorf("witness: evaluating property on trace: %w", err)
 	}
@@ -541,9 +545,9 @@ func forAll(vars []*expr.Var, env expr.MapEnv, fn func(expr.MapEnv) error) error
 			return fn(env)
 		}
 		v := vars[i]
-		vals, err := domainValues(v.T)
-		if err != nil {
-			return err
+		vals := v.T.Domain()
+		if vals == nil {
+			return fmt.Errorf("%w (infinite domain %s)", ErrUncheckable, v.T)
 		}
 		for _, val := range vals {
 			env[v] = val
@@ -554,27 +558,6 @@ func forAll(vars []*expr.Var, env expr.MapEnv, fn func(expr.MapEnv) error) error
 		return nil
 	}
 	return rec(0)
-}
-
-// domainValues enumerates a finite type's values.
-func domainValues(t expr.Type) ([]expr.Value, error) {
-	switch t.Kind {
-	case expr.KindBool:
-		return []expr.Value{expr.BoolValue(false), expr.BoolValue(true)}, nil
-	case expr.KindInt:
-		out := make([]expr.Value, 0, t.Hi-t.Lo+1)
-		for i := t.Lo; i <= t.Hi; i++ {
-			out = append(out, expr.IntValue(i))
-		}
-		return out, nil
-	case expr.KindEnum:
-		out := make([]expr.Value, 0, len(t.Values))
-		for _, s := range t.Values {
-			out = append(out, expr.EnumValue(s))
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("%w (infinite domain %s)", ErrUncheckable, t)
 }
 
 func evalIn(p *expr.Program, cur, next expr.MapEnv) (bool, error) {

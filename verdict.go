@@ -331,20 +331,12 @@ type (
 
 // SynthesizeParams partitions the finite parameter space into safe
 // valuations (property holds on every execution) and unsafe ones,
-// exactly, using BDD projection.
+// exactly: one loop of portfolio checks that blocks each unsafe cube
+// of valuations its counterexample covers, with a witness trace per
+// unsafe valuation.
 func SynthesizeParams(sys *System, phi *LTL, opts Options) (res *SynthResult, err error) {
 	defer resilience.RecoverTo("synth", &err)
 	return mc.SynthesizeParams(sys, phi, opts)
-}
-
-// SynthesizeParamsEnum computes the same safe/unsafe split by
-// checking every parameter valuation separately, fanning the
-// valuations out over opts.Workers goroutines (0 = NumCPU). Slower
-// than BDD projection on large spaces but embarrassingly parallel,
-// and it records a violating witness trace per unsafe valuation.
-func SynthesizeParamsEnum(sys *System, phi *LTL, opts Options) (res *SynthResult, err error) {
-	defer resilience.RecoverTo("synth-enum", &err)
-	return mc.SynthesizeParamsEnum(sys, phi, opts)
 }
 
 // BlastRadius reports how far a metric can degrade across states
