@@ -79,8 +79,8 @@ func main() {
 	}()
 
 	// Ctrl-C cancels the sweep: in-flight cells stop at their next
-	// cooperative poll, queued cells never start, and "all" stops
-	// between experiments.
+	// conflict, decision, gate or BDD node, queued cells never start,
+	// and "all" stops between experiments.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 

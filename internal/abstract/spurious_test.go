@@ -26,11 +26,11 @@ import (
 // podsWithBackdoor: two aggregation switches that the partition lumps
 // into one class, joined by a core backdoor.
 //
-//	       fe
-//	      /  \
-//	    a1    a2
-//	   /  \  /  \
-//	  s1 s2 c s3 s4   (c links a1-a2; each service has one uplink)
+//	     fe
+//	    /  \
+//	  a1    a2
+//	 /  \  /  \
+//	s1 s2 c s3 s4   (c links a1-a2; each service has one uplink)
 //
 // The naive quotient lies at k=1: one failure in the fe__a bundle
 // drives the bundle counter to the per-member degree (1), claiming

@@ -12,7 +12,10 @@
 // dropped afterwards.
 package bdd
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Node is a BDD handle. False and True are the terminals.
 type Node int32
@@ -48,21 +51,21 @@ type Manager struct {
 	opCache map[opKey]Node
 	numVars int
 
-	// Interrupt, when set, is polled periodically during node
-	// creation; returning true aborts the in-flight operation by
-	// panicking with ErrInterrupted. Callers implementing timeouts
-	// must recover it.
-	Interrupt func() bool
+	// Stop, when non-nil, is read at every node construction; once it
+	// is set the in-flight operation aborts by panicking with
+	// ErrInterrupted. Another goroutine sets it to cancel the
+	// computation (a deadline, a lost race); callers must recover the
+	// panic.
+	Stop *atomic.Bool
 	// NodeBudget, when positive, bounds the arena size (mirroring
 	// sat.Solver.ConflictBudget): allocating a node past the budget
 	// aborts the in-flight operation by panicking with ErrNodeBudget,
 	// which callers recover into an Unknown verdict instead of letting
 	// the arena blow up the process.
 	NodeBudget int
-	mkCount    int
 }
 
-// ErrInterrupted is the panic value thrown when Interrupt fires.
+// ErrInterrupted is the panic value thrown once Stop is set.
 var ErrInterrupted = fmt.Errorf("bdd: interrupted")
 
 // ErrNodeBudget is the panic value thrown when NodeBudget is exceeded.
@@ -98,11 +101,8 @@ func (m *Manager) AddVars(n int) int {
 }
 
 func (m *Manager) mk(level int32, lo, hi Node) Node {
-	if m.Interrupt != nil {
-		m.mkCount++
-		if m.mkCount&0xFFFF == 0 && m.Interrupt() {
-			panic(ErrInterrupted)
-		}
+	if m.Stop != nil && m.Stop.Load() {
+		panic(ErrInterrupted)
 	}
 	if lo == hi {
 		return lo

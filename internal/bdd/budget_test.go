@@ -1,6 +1,9 @@
 package bdd
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // Exceeding the node budget must abort with ErrNodeBudget instead of
 // growing the arena without bound.
@@ -35,4 +38,25 @@ func TestNodeBudgetNotHit(t *testing.T) {
 	if acc == False || acc == True {
 		t.Fatal("parity collapsed to a terminal")
 	}
+}
+
+// A set Stop flag aborts the next node construction with
+// ErrInterrupted, before the arena grows.
+func TestStop(t *testing.T) {
+	m := New(8)
+	var stop atomic.Bool
+	m.Stop = &stop
+	m.And(m.Var(0), m.Var(1))
+	size := m.Size()
+	stop.Store(true)
+	defer func() {
+		if r := recover(); r != ErrInterrupted {
+			t.Fatalf("recover() = %v, want ErrInterrupted", r)
+		}
+		if m.Size() != size {
+			t.Errorf("arena grew from %d to %d nodes after the stop", size, m.Size())
+		}
+	}()
+	m.Var(2)
+	t.Fatal("unreachable: node construction ignored the stop flag")
 }

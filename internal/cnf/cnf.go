@@ -13,6 +13,7 @@
 package cnf
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -35,6 +36,23 @@ func (e *CompileError) Error() string { return "cnf: " + e.Msg }
 // failf panics with a CompileError for an input-reachable defect.
 func failf(format string, args ...any) {
 	panic(&CompileError{Msg: fmt.Sprintf(format, args...)})
+}
+
+// ErrStopped is the panic value the encoder throws when the solver's
+// Stop flag is set: encoding stops at the next gate or variable
+// allocation, as the solver's search stops at the next conflict or
+// decision. Like a CompileError, it is recovered where the encoding
+// was asked for; the solver is left with a partial encoding and is
+// not used again.
+var ErrStopped = errors.New("cnf: stopped")
+
+// fresh allocates n variables for the encoding and returns the first,
+// or panics with ErrStopped once the solver's Stop flag is set.
+func (e *Encoder) fresh(n int) int {
+	if e.S.Stop != nil && e.S.Stop.Load() {
+		panic(ErrStopped)
+	}
+	return e.S.NewVars(n)
 }
 
 // Frame assigns SAT variables to a set of ts variables at one point in
@@ -205,7 +223,7 @@ func (e *Encoder) NewFrame(vars []*expr.Var) *Frame {
 // bind allocates the bits of vars, lits in all, and asserts their
 // domain constraints.
 func (e *Encoder) bind(f *Frame, vars []*expr.Var, lits []sat.Lit) {
-	first := e.S.NewVars(len(lits))
+	first := e.fresh(len(lits))
 	for i := range lits {
 		lits[i] = sat.Pos(first + i)
 	}
@@ -907,7 +925,7 @@ func (e *Encoder) mkXor(a, b sat.Lit) sat.Lit {
 	key := gateKey{op: '^', a: a, b: b}
 	g, ok := e.gateMemo[key]
 	if !ok {
-		g = sat.Pos(e.S.NewVar())
+		g = sat.Pos(e.fresh(1))
 		e.S.AddClause(g.Not(), a, b)
 		e.S.AddClause(g.Not(), a.Not(), b.Not())
 		e.S.AddClause(g, a, b.Not())
@@ -950,7 +968,7 @@ func (e *Encoder) mkMaj(a, b, c sat.Lit) sat.Lit {
 	if g, ok := e.gateMemo[key]; ok {
 		return g
 	}
-	g := sat.Pos(e.S.NewVar())
+	g := sat.Pos(e.fresh(1))
 	a, b, c = ls[0], ls[1], ls[2]
 	e.S.AddClause(g.Not(), a, b)
 	e.S.AddClause(g.Not(), a, c)
@@ -976,7 +994,7 @@ func (e *Encoder) mkIte(c, t, f sat.Lit) sat.Lit {
 	if g, ok := e.gateMemo[key]; ok {
 		return g
 	}
-	g := sat.Pos(e.S.NewVar())
+	g := sat.Pos(e.fresh(1))
 	e.S.AddClause(g.Not(), c.Not(), t)
 	e.S.AddClause(g.Not(), c, f)
 	e.S.AddClause(g, c.Not(), t.Not())
@@ -996,7 +1014,7 @@ func (e *Encoder) gate2(op byte, a, b sat.Lit) sat.Lit {
 	if g, ok := e.gateMemo[key]; ok {
 		return g
 	}
-	g := sat.Pos(e.S.NewVar())
+	g := sat.Pos(e.fresh(1))
 	switch op {
 	case '&':
 		e.S.AddClause(g.Not(), a)

@@ -13,6 +13,7 @@ package mc
 // reuse too.
 
 import (
+	"sync/atomic"
 	"time"
 
 	"verdict/internal/cnf"
@@ -53,14 +54,13 @@ type unroller struct {
 	encodeTime, solveTime time.Duration
 }
 
-// newUnroller blasts sys at depth k: frames 0..k with INVAR at every
-// frame and TRANS along the chain, and with INIT at frame 0 when init
-// is set — without it the chain starts anywhere, as an induction step
-// needs. finite says whether sys is finite (the caller has vetted it),
-// which picks a plain SAT solver over an SMT context. The unrolling
-// grows with extend, so depth k+1 keeps the clause database of depth k.
-func newUnroller(sys *ts.System, k int, init, finite bool, opts Options, start time.Time) *unroller {
-	t := time.Now()
+// newUnroller returns an empty unrolling of sys over a fresh solver:
+// a plain SAT solver when sys is finite (the caller has vetted it),
+// else an SMT context. The solver and its encoder read stop, the
+// engine's stop signal (nil: never stopped), and panic with
+// cnf.ErrStopped once it is set mid-encoding; the engine recovers that
+// with recoverCompile. blast then builds the frames.
+func newUnroller(sys *ts.System, finite bool, opts Options, stop *atomic.Bool) *unroller {
 	u := &unroller{sys: sys, coop: opts.coop}
 	for _, v := range sys.Vars() {
 		if v.T.Finite() {
@@ -84,9 +84,18 @@ func newUnroller(sys *ts.System, k int, init, finite bool, opts Options, start t
 		u.sats = u.ctx.Sat
 		u.enc = u.ctx.Enc
 	}
-	u.sats.Interrupt = opts.interrupt(start)
+	u.sats.Stop = stop
 	u.sats.ConflictBudget = opts.Budget.SATConflicts
+	return u
+}
 
+// blast unrolls the system to depth k: frames 0..k with INVAR at every
+// frame and TRANS along the chain, and with INIT at frame 0 when init
+// is set — without it the chain starts anywhere, as an induction step
+// needs. The unrolling grows with extend, so depth k+1 keeps the
+// clause database of depth k.
+func (u *unroller) blast(k int, init bool) {
+	defer u.encoded(time.Now())
 	u.params = u.enc.NewFrame(u.finiteParams)
 	u.enc.Params = u.params
 	for i := 0; i <= k; i++ {
@@ -95,18 +104,16 @@ func newUnroller(sys *ts.System, k int, init, finite bool, opts Options, start t
 	u.benc = ltl.NewBoundedEncoder(u.enc, u.frames)
 
 	if init {
-		u.enc.Assert(sys.InitExpr(), u.frames[0], nil)
+		u.enc.Assert(u.sys.InitExpr(), u.frames[0], nil)
 	}
-	invar := sys.InvarExpr()
+	invar := u.sys.InvarExpr()
 	for i := 0; i <= k; i++ {
 		u.enc.Assert(invar, u.frames[i], nil)
 	}
-	tr := sys.TransExpr()
+	tr := u.sys.TransExpr()
 	for i := 0; i < k; i++ {
 		u.enc.Assert(tr, u.frames[i], u.frames[i+1])
 	}
-	u.encoded(t)
-	return u
 }
 
 // extend grows the unrolling by one frame: domain constraints come
@@ -118,7 +125,7 @@ func newUnroller(sys *ts.System, k int, init, finite bool, opts Options, start t
 // saved phases — carries over untouched; that carry-over is what
 // Stats.IncrementalReuses counts.
 func (u *unroller) extend() {
-	t := time.Now()
+	defer u.encoded(time.Now())
 	k := len(u.frames)
 	f := u.enc.NewFrame(u.finiteState)
 	u.frames = append(u.frames, f)
@@ -129,7 +136,6 @@ func (u *unroller) extend() {
 	if u.coop != nil {
 		u.coop.noteReuse()
 	}
-	u.encoded(t)
 }
 
 // encoded charges the time since t to encoding.

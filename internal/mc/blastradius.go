@@ -62,10 +62,8 @@ func AnalyzeBlastRadius(sys *ts.System, event, metric *expr.Expr, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	reach, err := s.Reach()
-	if err != nil {
-		return nil, err
-	}
+	defer opts.armStop(&s.stop, s.start)()
+	reach := s.Reach()
 	post := s.m.And(reach, s.compileBool(latch.Ref()))
 	pre := s.m.And(reach, s.m.Not(s.compileBool(latch.Ref())))
 

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"verdict/internal/cnf"
@@ -31,15 +32,13 @@ import (
 // counterexample below k" bounds after each clean depth and skips
 // depths another engine has already proven clean.
 func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error) {
-	// The CNF encoder reports unsupported input (e.g. var*var
-	// multiplication in TRANS) by panicking with a typed CompileError;
-	// this API boundary turns it back into an ordinary error.
-	defer recoverCompile(&err)
 	finite, err := opts.vet(sys)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
+	var stop atomic.Bool
+	defer opts.armStop(&stop, start)()
 	neg := ltl.Counterexample(phi, sys.Fairness())
 	engine := "bmc"
 	if !finite {
@@ -64,14 +63,22 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 		r.Stats = stats
 		return r
 	}
-	for k := 0; k <= opts.maxDepth(); k++ {
+	k := 0
+	// stopped is the result of a deadline or cancellation, noticed
+	// between queries or (through recoverCompile) mid-encoding.
+	stopped := func() *Result {
+		return finish(&Result{Status: Unknown, Engine: engine, Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()})
+	}
+	defer recoverCompile(&res, &err, stopped)
+	for ; k <= opts.maxDepth(); k++ {
 		depthStart := time.Now()
-		if opts.expired(start) {
-			return finish(&Result{Status: Unknown, Engine: engine, Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
+		if stop.Load() {
+			return stopped(), nil
 		}
 		if u == nil || !incremental {
 			stats.addUnroller(u)
-			u = newUnroller(sys, k, true, finite, opts, start)
+			u = newUnroller(sys, finite, opts, &stop)
+			u.blast(k, true)
 		} else {
 			u.extend()
 		}
@@ -100,8 +107,8 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 		// finite prefix, so the loop search is skipped for them.
 		if !coSafety(neg) {
 			for l := 0; l <= k; l++ {
-				if opts.expired(start) {
-					return finish(&Result{Status: Unknown, Engine: engine, Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
+				if stop.Load() {
+					return stopped(), nil
 				}
 				st := u.solve(u.witness(neg, l)...)
 				if st == sat.Sat {
@@ -133,11 +140,19 @@ func BMC(sys *ts.System, phi *ltl.Formula, opts Options) (res *Result, err error
 	}), nil
 }
 
-// recoverCompile converts a cnf.CompileError panic from the encoder
-// into an ordinary error at an engine's API boundary; any other panic
-// is re-raised (internal invariants should crash loudly in tests).
-func recoverCompile(err *error) {
+// recoverCompile is a SAT-based engine's API boundary for the CNF
+// encoder's panics. A cnf.CompileError (unsupported input, e.g.
+// var*var multiplication in TRANS) becomes an ordinary error. A
+// cnf.ErrStopped (the stop signal was set mid-encoding) becomes the
+// Unknown that stopped returns, never an error, so a beaten engine
+// does not count as a failed one. Any other panic is re-raised
+// (internal invariants should crash loudly in tests).
+func recoverCompile(res **Result, err *error, stopped func() *Result) {
 	if r := recover(); r != nil {
+		if r == cnf.ErrStopped {
+			*res, *err = stopped(), nil
+			return
+		}
 		if ce, ok := r.(*cnf.CompileError); ok {
 			*err = fmt.Errorf("mc: %w", ce)
 			return

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,12 +88,10 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.maxDepth() != 25 || o.maxExplicit() != 1_000_000 {
 		t.Error("defaults wrong")
 	}
-	if o.interrupt(time.Now()) != nil {
-		t.Error("no timeout should mean nil interrupt")
-	}
+	var stop atomic.Bool
 	o.Timeout = time.Hour
-	poll := o.interrupt(time.Now())
-	if poll == nil || poll() {
+	defer o.armStop(&stop, time.Now())()
+	if stop.Load() {
 		t.Error("fresh hour-long budget should not be expired")
 	}
 }

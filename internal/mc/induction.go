@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"verdict/internal/expr"
@@ -32,9 +33,6 @@ import (
 // where BMC's bound keeps ahead the INIT-rooted frames are blasted
 // once, by BMC.
 func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err error) {
-	// See BMC: unsupported input surfaces as a cnf.CompileError panic
-	// and is converted to an error here rather than crashing the caller.
-	defer recoverCompile(&err)
 	finite, err := opts.vet(sys)
 	if err != nil {
 		return nil, err
@@ -46,6 +44,8 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		return nil, fmt.Errorf("mc: k-induction property must be a boolean state predicate")
 	}
 	start := time.Now()
+	var stop atomic.Bool
+	defer opts.armStop(&stop, start)()
 	coop := opts.coop
 	notP := expr.Not(p)
 
@@ -59,14 +59,22 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		r.Stats = stats
 		return r
 	}
-	for k := 0; k <= opts.maxDepth(); k++ {
+	k := 0
+	// See BMC: unsupported input surfaces as a cnf.CompileError panic
+	// and is converted to an error; a stop mid-encoding is stopped().
+	stopped := func() *Result {
+		return finish(&Result{Status: Unknown, Engine: "k-induction", Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()})
+	}
+	defer recoverCompile(&res, &err, stopped)
+	for ; k <= opts.maxDepth(); k++ {
 		depthStart := time.Now()
-		if opts.expired(start) {
-			return finish(&Result{Status: Unknown, Engine: "k-induction", Depth: k, Elapsed: time.Since(start), Note: opts.stopNote()}), nil
+		if stop.Load() {
+			return stopped(), nil
 		}
 		// Grow the step unrolling to frames 0..k+1 (without INIT).
 		if step == nil {
-			step = newUnroller(sys, 1, false, true, opts, start)
+			step = newUnroller(sys, true, opts, &stop)
+			step.blast(1, false)
 		} else {
 			step.extend()
 		}
@@ -88,7 +96,8 @@ func KInduction(sys *ts.System, p *expr.Expr, opts Options) (res *Result, err er
 		// (frames 0..k with INIT) is built or grown only here.
 		if coop.bound() <= k {
 			if base == nil {
-				base = newUnroller(sys, k, true, true, opts, start)
+				base = newUnroller(sys, true, opts, &stop)
+				base.blast(k, true)
 			}
 			for len(base.frames) <= k {
 				base.extend()

@@ -98,6 +98,7 @@ type wireStats struct {
 	DepthTimeNS     []int64  `json:"depth_time_ns,omitempty"`
 	EncodeTimeNS    int64    `json:"encode_time_ns,omitempty"`
 	SolveTimeNS     int64    `json:"solve_time_ns,omitempty"`
+	DrainTimeNS     int64    `json:"drain_time_ns,omitempty"`
 	Racers          []string `json:"racers,omitempty"`
 	EngineErrors    []string `json:"engine_errors,omitempty"`
 	WitnessFailures int64    `json:"witness_failures,omitempty"`
@@ -119,6 +120,7 @@ func (st *Stats) MarshalJSON() ([]byte, error) {
 		BDDNodes:            st.BDDNodes,
 		EncodeTimeNS:        st.EncodeTime.Nanoseconds(),
 		SolveTimeNS:         st.SolveTime.Nanoseconds(),
+		DrainTimeNS:         st.DrainTime.Nanoseconds(),
 		Racers:              st.Racers,
 		EngineErrors:        st.EngineErrors,
 		WitnessFailures:     st.WitnessFailures,
@@ -147,6 +149,7 @@ func (st *Stats) UnmarshalJSON(data []byte) error {
 		BDDNodes:            w.BDDNodes,
 		EncodeTime:          time.Duration(w.EncodeTimeNS),
 		SolveTime:           time.Duration(w.SolveTimeNS),
+		DrainTime:           time.Duration(w.DrainTimeNS),
 		Racers:              w.Racers,
 		EngineErrors:        w.EngineErrors,
 		WitnessFailures:     w.WitnessFailures,

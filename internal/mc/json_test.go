@@ -51,7 +51,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 			Note: "lasso", Trace: tr,
 			Stats: &Stats{Conflicts: 10, Decisions: 20, Propagations: 30, Learnts: 5, Restarts: 1,
 				BDDNodes: 99, DepthTime: []time.Duration{time.Millisecond, 2 * time.Millisecond},
-				EncodeTime: 3 * time.Millisecond, SolveTime: 4 * time.Millisecond,
+				EncodeTime: 3 * time.Millisecond, SolveTime: 4 * time.Millisecond, DrainTime: 5 * time.Microsecond,
 				Racers:       []string{"bmc", "k-induction", "bdd(fallback)"},
 				EngineErrors: []string{"bdd: injected panic"}}},
 		{Status: Unknown, Note: "sat conflict budget exhausted (100 conflicts)"},

@@ -14,10 +14,13 @@ import (
 
 // stallGrace is how long the portfolio waits, after cancelling the
 // losing engines, for their final outcomes before writing them off as
-// stalled. Engines poll cancellation cooperatively at conflict/node
-// granularity, so a healthy loser reports within microseconds; only a
-// genuinely hung engine (deadlock, runaway non-polling loop, injected
-// stall) runs into this deadline.
+// stalled. Cancellation sets each engine's stop signal (Options.armStop),
+// which the SAT solver reads at every conflict and decision, the CNF
+// encoder at every gate and the BDD manager at every node, so a
+// healthy loser stops within one such step and reports within well
+// under a millisecond (Stats.DrainTime records the wait); only a
+// genuinely hung engine (deadlock, runaway loop that reads no stop
+// signal, injected stall) runs into this deadline.
 const stallGrace = 250 * time.Millisecond
 
 // bddRaceBits is the largest model, in current-state bits, on which
@@ -65,14 +68,13 @@ func stateBits(sys *ts.System) int {
 // start order, with a fallback start marked "bdd(fallback)".
 //
 // Every engine runs in its own goroutine with its own solver state
-// over a shared child of opts.Context; the winner's cancel signal
-// reaches the losers through the same cooperative polling that
-// implements wall-clock deadlines. Losing goroutines may outlive this
-// call briefly (until their next poll); the only mutable state they
-// share is the cooperation bus, which is built for exactly that
-// (atomics and a mutex; ts.System and expression trees are immutable
-// during checking) — so this is safe, merely a little CPU spent after
-// the answer is in.
+// over a shared child of opts.Context; the winner's cancel sets the
+// losers' stop signals, the same flags a wall-clock deadline sets, and
+// the portfolio waits for them to report before it returns
+// (Stats.DrainTime). A loser written off as stalled may outlive this
+// call; the only mutable state the engines share is the cooperation
+// bus, which is built for exactly that (atomics and a mutex; ts.System
+// and expression trees are immutable during checking).
 //
 // The race is also a relay: BMC and k-induction publish "no
 // counterexample below depth k" bounds to a shared cooperation bus
@@ -83,8 +85,8 @@ func stateBits(sys *ts.System) int {
 //
 // The race is fault-isolated: an engine that panics is recovered in
 // its own goroutine into a structured *resilience.EngineError and the
-// race continues with the survivors; an engine that hangs (stops
-// polling) is written off once the wall-clock limit plus a grace
+// race continues with the survivors; an engine that hangs (reads no
+// stop signal) is written off once the wall-clock limit plus a grace
 // period passes. Either way the failure is recorded in the returned
 // Result's Stats.EngineErrors, so degraded races are visible.
 //
@@ -249,11 +251,10 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 			r.Stats = &Stats{}
 		}
 		r.Stats.Racers = racers
-		// Race-wide cooperation totals. The losers' goroutines may
-		// still be draining toward their next cancellation poll, so the
-		// counters can tick briefly after this snapshot; the snapshot
-		// itself is atomic loads — race-clean by construction, checked
-		// by the -race stress test.
+		// Race-wide cooperation totals. An engine written off as
+		// stalled may still tick the counters after this snapshot; the
+		// snapshot itself is atomic loads — race-clean by construction,
+		// checked by the -race stress test.
 		bus.fold(r.Stats)
 		if len(failures) > 0 || witnessFails > 0 {
 			r.Stats.EngineErrors = append(r.Stats.EngineErrors, failures...)
@@ -264,8 +265,10 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 		return r
 	}
 	// finish cancels the losers, then gives them one grace period to
-	// report so their failures (if any) land in the winner's stats.
+	// report so their failures (if any) land in the winner's stats. The
+	// wait is the winner's DrainTime.
 	finish := func(winner *Result) *Result {
+		drainStart := time.Now()
 		cancel()
 		grace := time.NewTimer(stallGrace)
 		defer grace.Stop()
@@ -277,7 +280,9 @@ func Portfolio(sys *ts.System, phi *ltl.Formula, opts Options) (*Result, error) 
 				writeOffStalled()
 			}
 		}
-		return attach(winner)
+		r := attach(winner)
+		r.Stats.DrainTime = time.Since(drainStart)
+		return r
 	}
 
 	// Collection loop. It never blocks forever on a hung engine: the

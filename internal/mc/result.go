@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"verdict/internal/sat"
@@ -92,6 +93,11 @@ type Stats struct {
 	// every unrolling the engine used.
 	EncodeTime time.Duration
 	SolveTime  time.Duration
+	// DrainTime is how long a portfolio waited, after its winner's
+	// verdict, for the beaten engines to stop and report (zero on
+	// single-engine checks). It is time to verdict that no engine
+	// spends deciding anything.
+	DrainTime time.Duration
 	// Racers lists the engines a portfolio started, in start order; a
 	// fallback start is marked, as in "bdd(fallback)". Empty on
 	// single-engine checks.
@@ -157,6 +163,9 @@ func (st *Stats) String() string {
 	if st.EncodeTime != 0 || st.SolveTime != 0 {
 		parts = append(parts, fmt.Sprintf("phases: encode %v, solve %v",
 			st.EncodeTime.Round(time.Microsecond), st.SolveTime.Round(time.Microsecond)))
+	}
+	if st.DrainTime != 0 {
+		parts = append(parts, fmt.Sprintf("drain: %v", st.DrainTime.Round(time.Microsecond)))
 	}
 	if len(st.DepthTime) > 0 {
 		var ds []string
@@ -250,9 +259,10 @@ type Options struct {
 	// MaxExplicitStates caps explicit-state enumeration (default 1e6).
 	MaxExplicitStates int
 	// Context, when non-nil, cancels in-flight checks cooperatively:
-	// the engines poll it at the same points as the wall-clock
-	// deadline and return Unknown once it is done. Portfolio derives a
-	// per-race child context from it to cancel losing engines.
+	// its cancellation sets the same stop signal as the wall-clock
+	// deadline (see armStop), and the engines return Unknown.
+	// Portfolio derives a per-race child context from it to cancel
+	// losing engines.
 	Context context.Context
 	// Budget caps SAT conflicts, BDD arena nodes, and wall-clock per
 	// check; exhaustion degrades to Unknown instead of running
@@ -360,44 +370,28 @@ func (o Options) remaining(start time.Time) (_ Options, ok bool) {
 	return o, true
 }
 
-// interrupt returns the cooperative-cancellation poll installed into
-// the SAT solver and BDD manager: it fires on the wall-clock deadline
-// and on Context cancellation. nil when neither bound is set.
-func (o Options) interrupt(start time.Time) func() bool {
-	if o.timeLimit() <= 0 && o.Context == nil {
-		return nil
-	}
-	var dl time.Time
+// armStop makes stop the check's one stop signal: a hook sets it when
+// the Context is cancelled or the wall-clock limit, counted from start,
+// passes. The SAT solver, the CNF encoder and the BDD manager read it
+// with one atomic load per conflict, decision, gate or node, so a
+// cancelled engine stops within one step instead of finishing a
+// restart or a frame. The returned func releases the hook; an engine
+// defers it, so nothing outlives the check.
+func (o Options) armStop(stop *atomic.Bool, start time.Time) (release func()) {
+	ctx, cancel := o.ctx(), context.CancelFunc(func() {})
 	if t := o.timeLimit(); t > 0 {
-		dl = start.Add(t)
+		ctx, cancel = context.WithDeadline(ctx, start.Add(t))
 	}
-	ctx := o.Context
-	return func() bool {
-		if !dl.IsZero() && time.Now().After(dl) {
-			return true
-		}
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return true
-			default:
-			}
-		}
-		return false
+	unhook := context.AfterFunc(ctx, func() { stop.Store(true) })
+	if ctx.Err() != nil {
+		// Already done: set the flag now, not on the hook's goroutine,
+		// so the engine's first step sees it.
+		stop.Store(true)
 	}
+	return func() { unhook(); cancel() }
 }
 
-// expired reports whether the check should stop: deadline passed or
-// context cancelled. Engines poll it between depths and fixpoint
-// iterations.
-func (o Options) expired(start time.Time) bool {
-	if t := o.timeLimit(); t > 0 && time.Since(start) > t {
-		return true
-	}
-	return o.Context != nil && o.Context.Err() != nil
-}
-
-// stopNote labels an Unknown result caused by expired: "cancelled"
+// stopNote labels an Unknown result caused by the stop signal: "cancelled"
 // when the context was cancelled, "timeout" otherwise.
 func (o Options) stopNote() string {
 	if o.Context != nil && o.Context.Err() != nil {

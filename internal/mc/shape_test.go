@@ -2,7 +2,6 @@ package mc
 
 import (
 	"testing"
-	"time"
 
 	"verdict/internal/expr"
 	"verdict/internal/ltl"
@@ -52,7 +51,8 @@ func TestUnrollingCNFShape(t *testing.T) {
 			if init {
 				want = c.init
 			}
-			u := newUnroller(m.Sys, 0, init, true, Options{}, time.Now())
+			u := newUnroller(m.Sys, true, Options{}, nil)
+			u.blast(0, init)
 			u.litAt(notP, 0)
 			prev := shape{}
 			for i, w := range want {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"verdict/internal/bdd"
@@ -17,8 +18,8 @@ import (
 	"verdict/internal/witness"
 )
 
-// ErrTimeout is returned when a BDD engine construction or fixpoint
-// exceeds its wall-clock budget.
+// ErrTimeout is returned when a BDD engine construction (NewSym) or
+// AnalyzeBlastRadius is stopped by its deadline or its Context.
 var ErrTimeout = errors.New("mc: timeout")
 
 // ErrBudget is returned when a BDD engine construction exceeds its
@@ -43,6 +44,9 @@ type Sym struct {
 	sys  *ts.System
 	opts Options
 	m    *bdd.Manager
+	// stop is the BDD manager's stop signal, armed (Options.armStop)
+	// while NewSym or a check method runs.
+	stop atomic.Bool
 
 	layout map[*expr.Var]varLayout
 
@@ -120,7 +124,8 @@ func NewSym(sys *ts.System, opts Options) (s *Sym, err error) {
 		total += 2 * w
 	}
 	s.m = bdd.New(total)
-	s.m.Interrupt = opts.interrupt(s.start)
+	s.m.Stop = &s.stop
+	defer opts.armStop(&s.stop, s.start)()
 	s.m.NodeBudget = opts.Budget.BDDNodes
 	for _, v := range sys.AllVars() {
 		if v.Param {
@@ -544,18 +549,17 @@ func (s *Sym) Preimage(S bdd.Node) bdd.Node {
 }
 
 // Reach computes (and caches) the reachable state set, keeping the BFS
-// layers for counterexample reconstruction.
-func (s *Sym) Reach() (bdd.Node, error) {
+// layers for counterexample reconstruction. Like every fixpoint here it
+// polls nothing itself: a set stop signal aborts it from inside the BDD
+// manager (a bdd.ErrInterrupted panic, which recoverTimeout recovers).
+func (s *Sym) Reach() bdd.Node {
 	if s.haveReach {
-		return s.reach, nil
+		return s.reach
 	}
 	r := s.init
 	s.layers = []bdd.Node{r}
 	frontier := r
 	for frontier != bdd.False {
-		if s.opts.expired(s.start) {
-			return bdd.False, ErrTimeout
-		}
 		img := s.m.And(s.Image(frontier), s.invar)
 		frontier = s.m.And(img, s.m.Not(r))
 		if frontier == bdd.False {
@@ -566,36 +570,30 @@ func (s *Sym) Reach() (bdd.Node, error) {
 	}
 	s.reach = r
 	s.haveReach = true
-	return r, nil
+	return r
 }
 
 // --- CTL ---
 
 // eu computes E[a U b] within care.
-func (s *Sym) eu(a, b, care bdd.Node) (bdd.Node, error) {
+func (s *Sym) eu(a, b, care bdd.Node) bdd.Node {
 	y := s.m.And(b, care)
 	for {
-		if s.opts.expired(s.start) {
-			return bdd.False, ErrTimeout
-		}
 		ny := s.m.Or(y, s.m.And(a, s.m.And(care, s.Preimage(y))))
 		if ny == y {
-			return y, nil
+			return y
 		}
 		y = ny
 	}
 }
 
 // eg computes EG a within care (no fairness).
-func (s *Sym) eg(a, care bdd.Node) (bdd.Node, error) {
+func (s *Sym) eg(a, care bdd.Node) bdd.Node {
 	y := s.m.And(a, care)
 	for {
-		if s.opts.expired(s.start) {
-			return bdd.False, ErrTimeout
-		}
 		ny := s.m.And(y, s.Preimage(y))
 		if ny == y {
-			return y, nil
+			return y
 		}
 		y = ny
 	}
@@ -603,27 +601,21 @@ func (s *Sym) eg(a, care bdd.Node) (bdd.Node, error) {
 
 // egFair computes the states from which a fair path satisfying
 // "globally a" exists (Emerson–Lei).
-func (s *Sym) egFair(a, care bdd.Node) (bdd.Node, error) {
+func (s *Sym) egFair(a, care bdd.Node) bdd.Node {
 	fair := s.fairness
 	if len(fair) == 0 {
 		return s.eg(a, care)
 	}
 	z := s.m.And(a, care)
 	for {
-		if s.opts.expired(s.start) {
-			return bdd.False, ErrTimeout
-		}
 		nz := z
 		for _, c := range fair {
 			target := s.m.And(nz, c)
-			u, err := s.eu(s.m.And(a, nz), target, care)
-			if err != nil {
-				return bdd.False, err
-			}
+			u := s.eu(s.m.And(a, nz), target, care)
 			nz = s.m.And(nz, s.Preimage(u))
 		}
 		if nz == z {
-			return z, nil
+			return z
 		}
 		z = nz
 	}
@@ -631,7 +623,7 @@ func (s *Sym) egFair(a, care bdd.Node) (bdd.Node, error) {
 
 // fairStates returns EGfair(true): states from which some fair path
 // starts.
-func (s *Sym) fairStates(care bdd.Node) (bdd.Node, error) {
+func (s *Sym) fairStates(care bdd.Node) bdd.Node {
 	return s.egFair(care, care)
 }
 
@@ -640,7 +632,8 @@ func (s *Sym) stats() *Stats { return &Stats{BDDNodes: s.m.Size()} }
 
 // recoverTimeout converts a BDD interrupt or node-budget panic into an
 // Unknown result, and any other panic into a structured engine error;
-// install it with defer in every public checking method. The engine
+// install it with defer in every public checking method, beside the
+// deferred release of the method's armed stop signal. The engine
 // degrades gracefully — it never takes the process down mid-check.
 func (s *Sym) recoverTimeout(res **Result, err *error, start time.Time) {
 	if r := recover(); r != nil {
@@ -663,14 +656,8 @@ func (s *Sym) recoverTimeout(res **Result, err *error, start time.Time) {
 func (s *Sym) CheckCTL(f *ctl.Formula) (res *Result, err error) {
 	start := time.Now()
 	defer s.recoverTimeout(&res, &err, start)
-	reach, err := s.Reach()
-	if err != nil {
-		return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: s.opts.stopNote(), Stats: s.stats()}, nil
-	}
-	sat, err := s.evalCTL(ctl.Normalize(f), reach)
-	if err != nil {
-		return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: s.opts.stopNote(), Stats: s.stats()}, nil
-	}
+	defer s.opts.armStop(&s.stop, s.start)()
+	sat := s.evalCTL(ctl.Normalize(f), s.Reach())
 	bad := s.m.And(s.init, s.m.Not(sat))
 	res = &Result{Engine: "bdd", Elapsed: time.Since(start), Stats: s.stats()}
 	if bad == bdd.False {
@@ -682,67 +669,25 @@ func (s *Sym) CheckCTL(f *ctl.Formula) (res *Result, err error) {
 	return res, nil
 }
 
-func (s *Sym) evalCTL(f *ctl.Formula, care bdd.Node) (bdd.Node, error) {
+func (s *Sym) evalCTL(f *ctl.Formula, care bdd.Node) bdd.Node {
 	switch f.Kind {
 	case ctl.KindAtom:
-		return s.m.And(s.compileBool(f.Atom), care), nil
+		return s.m.And(s.compileBool(f.Atom), care)
 	case ctl.KindNot:
-		x, err := s.evalCTL(f.L, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		return s.m.And(s.m.Not(x), care), nil
+		return s.m.And(s.m.Not(s.evalCTL(f.L, care)), care)
 	case ctl.KindAnd:
-		x, err := s.evalCTL(f.L, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		y, err := s.evalCTL(f.R, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		return s.m.And(x, y), nil
+		return s.m.And(s.evalCTL(f.L, care), s.evalCTL(f.R, care))
 	case ctl.KindOr:
-		x, err := s.evalCTL(f.L, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		y, err := s.evalCTL(f.R, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		return s.m.Or(x, y), nil
+		return s.m.Or(s.evalCTL(f.L, care), s.evalCTL(f.R, care))
 	case ctl.KindEX:
-		x, err := s.evalCTL(f.L, care)
-		if err != nil {
-			return bdd.False, err
-		}
 		// Fair semantics: successor must start a fair path.
-		fs, err := s.fairStates(care)
-		if err != nil {
-			return bdd.False, err
-		}
-		return s.m.And(s.Preimage(s.m.And(x, fs)), care), nil
+		x := s.evalCTL(f.L, care)
+		return s.m.And(s.Preimage(s.m.And(x, s.fairStates(care))), care)
 	case ctl.KindEU:
-		x, err := s.evalCTL(f.L, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		y, err := s.evalCTL(f.R, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		fs, err := s.fairStates(care)
-		if err != nil {
-			return bdd.False, err
-		}
-		return s.eu(x, s.m.And(y, fs), care)
+		x, y := s.evalCTL(f.L, care), s.evalCTL(f.R, care)
+		return s.eu(x, s.m.And(y, s.fairStates(care)), care)
 	case ctl.KindEG:
-		x, err := s.evalCTL(f.L, care)
-		if err != nil {
-			return bdd.False, err
-		}
-		return s.egFair(x, care)
+		return s.egFair(s.evalCTL(f.L, care), care)
 	}
 	panic("mc: evalCTL expects normalized formulas")
 }
@@ -825,6 +770,7 @@ func (s *Sym) buildTableau(f *ltl.Formula) *tableau {
 func (s *Sym) CheckLTL(phi *ltl.Formula) (res *Result, err error) {
 	start := time.Now()
 	defer s.recoverTimeout(&res, &err, start)
+	defer s.opts.armStop(&s.stop, s.start)()
 	// Fast path: plain safety invariant.
 	if p, ok := ltl.IsSafetyInvariant(phi); ok {
 		return s.CheckInvariant(p)
@@ -861,17 +807,11 @@ func (s *Sym) CheckLTL(phi *ltl.Formula) (res *Result, err error) {
 	reach := pinit
 	frontier := pinit
 	for frontier != bdd.False {
-		if s.opts.expired(s.start) {
-			return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: s.opts.stopNote(), Stats: s.stats()}, nil
-		}
 		img := s.Image(frontier)
 		frontier = s.m.And(img, s.m.Not(reach))
 		reach = s.m.Or(reach, frontier)
 	}
-	fair, err := s.fairStates(reach)
-	if err != nil {
-		return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: s.opts.stopNote(), Stats: s.stats()}, nil
-	}
+	fair := s.fairStates(reach)
 	res = &Result{Engine: "bdd", Elapsed: time.Since(start), Stats: s.stats()}
 	if s.m.And(pinit, fair) == bdd.False {
 		res.Status = Holds
@@ -887,10 +827,8 @@ func (s *Sym) CheckLTL(phi *ltl.Formula) (res *Result, err error) {
 func (s *Sym) CheckInvariant(p *expr.Expr) (res *Result, err error) {
 	start := time.Now()
 	defer s.recoverTimeout(&res, &err, start)
-	reach, err := s.Reach()
-	if err != nil {
-		return &Result{Status: Unknown, Engine: "bdd", Elapsed: time.Since(start), Note: s.opts.stopNote(), Stats: s.stats()}, nil
-	}
+	defer s.opts.armStop(&s.stop, s.start)()
+	reach := s.Reach()
 	bad := s.m.And(reach, s.m.Not(s.compileBool(p)))
 	res = &Result{Engine: "bdd", Elapsed: time.Since(start), Stats: s.stats()}
 	if bad == bdd.False {

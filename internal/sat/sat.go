@@ -9,6 +9,10 @@
 // Luby restarts, learnt-clause database reduction by LBD with arena
 // compaction, and solving under assumptions with final conflict (unsat
 // core) extraction.
+//
+// A search stops early through Solver.Stop, a flag read with one atomic
+// load at every conflict and every decision, so a solver whose answer
+// is no longer wanted returns within one step of search.
 package sat
 
 import (
@@ -16,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Lit is a literal: variable index shifted left once, low bit set for
@@ -179,9 +184,13 @@ type Solver struct {
 	// (0 = unlimited). Used to implement verification timeouts.
 	ConflictBudget int64
 
-	// Interrupt, when non-nil, is polled between restarts; returning
-	// true aborts Solve with Unknown. Used for wall-clock timeouts.
-	Interrupt func() bool
+	// Stop, when non-nil, is read at every conflict and every
+	// decision; once it is set Solve returns Unknown with LastStop
+	// StopInterrupt. Another goroutine sets it to cancel the search (a
+	// deadline, a lost race); a flag that is never set leaves the
+	// search unchanged. The CNF encoder filling this solver reads it
+	// too.
+	Stop *atomic.Bool
 
 	// stop records why the last Solve returned Unknown; see StopCause.
 	stop StopCause
@@ -310,6 +319,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 func (s *Solver) attachClause(lits []Lit, learnt bool, lbd int) int32 {
 	if len(s.arena)+clauseHdr+len(lits) > math.MaxInt32 {
 		panic("sat: clause arena exceeds 2^31 words")
+	}
+	// Grow by at least half when the arena must move, as grow does:
+	// append grows a large slice by a quarter, so an arena filled
+	// frame by frame would move nearly twice as often and copy twice
+	// the words.
+	if need := clauseHdr + len(lits); cap(s.arena)-len(s.arena) < need {
+		s.arena = slices.Grow(s.arena, max(need, len(s.arena)/2))
 	}
 	c := int32(len(s.arena))
 	h := Lit(len(lits) << sizeShift)
@@ -740,8 +756,8 @@ func luby(x int64) int64 {
 // Solve determines satisfiability under the given assumptions. On Sat,
 // Value reports the model; on Unsat, Core reports the subset of
 // assumptions in the final conflict. Unknown is returned only when the
-// conflict budget is exhausted. Solve is SolveAssuming under its
-// historical name; both are fully incremental.
+// conflict budget is exhausted or Stop is set (see LastStop). Solve is
+// SolveAssuming under its historical name; both are fully incremental.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	return s.SolveAssuming(assumptions...)
 }
@@ -772,14 +788,12 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		if st != Unknown {
 			return st
 		}
+		if s.stop == StopInterrupt {
+			return Unknown
+		}
 		if s.ConflictBudget > 0 && s.Conflicts-startConflicts >= s.ConflictBudget {
 			s.cancelUntil(0)
 			s.stop = StopBudget
-			return Unknown
-		}
-		if s.Interrupt != nil && s.Interrupt() {
-			s.cancelUntil(0)
-			s.stop = StopInterrupt
 			return Unknown
 		}
 		restart++
@@ -788,7 +802,7 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 }
 
 // StopCause explains an Unknown verdict from Solve: the conflict
-// budget ran out, or the Interrupt poll fired (wall-clock deadline or
+// budget ran out, or the Stop flag was set (wall-clock deadline or
 // cooperative cancellation). It lets engines label their degraded
 // results honestly instead of guessing "timeout".
 type StopCause int
@@ -798,7 +812,7 @@ const (
 	StopNone StopCause = iota
 	// StopBudget: ConflictBudget was exhausted.
 	StopBudget
-	// StopInterrupt: the Interrupt poll fired.
+	// StopInterrupt: the Stop flag was set.
 	StopInterrupt
 )
 
@@ -807,10 +821,17 @@ const (
 func (s *Solver) LastStop() StopCause { return s.stop }
 
 // search runs CDCL until a result, a restart (after maxConfl
-// conflicts; returns Unknown), or budget exhaustion.
+// conflicts; returns Unknown), or a set Stop flag (returns Unknown with
+// s.stop = StopInterrupt). Each pass of the loop follows one conflict
+// or one decision, so the flag is read at both.
 func (s *Solver) search(assumptions []Lit, maxConfl int64) Status {
 	conflicts := int64(0)
 	for {
+		if s.Stop != nil && s.Stop.Load() {
+			s.cancelUntil(0)
+			s.stop = StopInterrupt
+			return Unknown
+		}
 		confl := s.propagate()
 		if confl != noReason {
 			s.Conflicts++

@@ -2,7 +2,9 @@ package sat
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBasicSat(t *testing.T) {
@@ -299,30 +301,33 @@ func TestRandomWithAssumptions(t *testing.T) {
 	}
 }
 
-func TestPigeonhole(t *testing.T) {
-	// PHP(5,4): 5 pigeons, 4 holes — classic small hard UNSAT.
-	const p, h = 5, 4
+// pigeonhole returns a solver holding PHP(p, h): p pigeons in h holes,
+// each pigeon in some hole and no two in one; unsatisfiable for p > h,
+// and hard for resolution.
+func pigeonhole(p, h int) *Solver {
 	s := New()
-	vars := [p][h]int{}
-	for i := 0; i < p; i++ {
-		for j := 0; j < h; j++ {
-			vars[i][j] = s.NewVar()
-		}
-	}
+	first := s.NewVars(p * h)
+	in := func(i, j int) int { return first + i*h + j }
 	for i := 0; i < p; i++ {
 		c := make([]Lit, h)
 		for j := 0; j < h; j++ {
-			c[j] = Pos(vars[i][j])
+			c[j] = Pos(in(i, j))
 		}
 		s.AddClause(c...)
 	}
 	for j := 0; j < h; j++ {
 		for i1 := 0; i1 < p; i1++ {
 			for i2 := i1 + 1; i2 < p; i2++ {
-				s.AddClause(Neg(vars[i1][j]), Neg(vars[i2][j]))
+				s.AddClause(Neg(in(i1, j)), Neg(in(i2, j)))
 			}
 		}
 	}
+	return s
+}
+
+func TestPigeonhole(t *testing.T) {
+	// PHP(5,4): 5 pigeons, 4 holes — classic small hard UNSAT.
+	s := pigeonhole(5, 4)
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("PHP(5,4) = %v, want unsat", got)
 	}
@@ -342,28 +347,7 @@ func TestLuby(t *testing.T) {
 
 func TestConflictBudget(t *testing.T) {
 	// A hard instance with a tiny budget must return Unknown.
-	const p, h = 8, 7
-	s := New()
-	vars := [p][h]int{}
-	for i := 0; i < p; i++ {
-		for j := 0; j < h; j++ {
-			vars[i][j] = s.NewVar()
-		}
-	}
-	for i := 0; i < p; i++ {
-		c := make([]Lit, h)
-		for j := 0; j < h; j++ {
-			c[j] = Pos(vars[i][j])
-		}
-		s.AddClause(c...)
-	}
-	for j := 0; j < h; j++ {
-		for i1 := 0; i1 < p; i1++ {
-			for i2 := i1 + 1; i2 < p; i2++ {
-				s.AddClause(Neg(vars[i1][j]), Neg(vars[i2][j]))
-			}
-		}
-	}
+	s := pigeonhole(8, 7)
 	s.ConflictBudget = 10
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("Solve with tiny budget = %v, want unknown", got)
@@ -371,6 +355,39 @@ func TestConflictBudget(t *testing.T) {
 	s.ConflictBudget = 0
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("Solve without budget = %v, want unsat", got)
+	}
+}
+
+// A Stop flag set before the search starts ends it at once: Unknown
+// with StopInterrupt after at most one conflict, where the first
+// restart alone runs 100. Clearing the flag lets the same solver
+// decide the instance.
+func TestStopBeforeSolve(t *testing.T) {
+	s := pigeonhole(8, 7)
+	var stop atomic.Bool
+	stop.Store(true)
+	s.Stop = &stop
+	if got := s.SolveAssuming(); got != Unknown || s.LastStop() != StopInterrupt {
+		t.Fatalf("stopped solve = %v (stop cause %v), want unknown by interrupt", got, s.LastStop())
+	}
+	if s.Conflicts > 1 {
+		t.Errorf("stopped solve ran %d conflicts, want at most 1", s.Conflicts)
+	}
+	stop.Store(false)
+	if got := s.SolveAssuming(); got != Unsat || s.LastStop() != StopNone {
+		t.Fatalf("solve after clearing stop = %v (stop cause %v), want unsat", got, s.LastStop())
+	}
+}
+
+// A Stop flag set by another goroutine mid-search ends the search
+// with StopInterrupt.
+func TestStopDuringSolve(t *testing.T) {
+	s := pigeonhole(11, 10) // far beyond what this test waits for
+	var stop atomic.Bool
+	s.Stop = &stop
+	time.AfterFunc(20*time.Millisecond, func() { stop.Store(true) })
+	if got := s.SolveAssuming(); got != Unknown || s.LastStop() != StopInterrupt {
+		t.Fatalf("solve = %v (stop cause %v), want unknown by interrupt", got, s.LastStop())
 	}
 }
 

@@ -297,13 +297,18 @@ func (c *Context) guardEq(g sat.Lit, a, b linExpr) {
 	c.Sat.AddClause(g.Not(), ge)
 }
 
-// Solve runs the lazy DPLL(T) loop under the given assumptions.
+// Solve runs the lazy DPLL(T) loop under the given assumptions. It
+// returns Unknown once the solver's Stop flag is set: the SAT search
+// reads the flag itself, and the loop reads it between theory rounds.
 func (c *Context) Solve(assumptions ...sat.Lit) sat.Status {
 	maxIter := c.MaxTheoryIterations
 	if maxIter == 0 {
 		maxIter = 1_000_000
 	}
 	for iter := 0; iter < maxIter; iter++ {
+		if c.Sat.Stop != nil && c.Sat.Stop.Load() {
+			return sat.Unknown
+		}
 		st := c.Sat.Solve(assumptions...)
 		if st != sat.Sat {
 			return st
